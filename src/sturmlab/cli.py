@@ -5,8 +5,9 @@ brange, congruence, selftest.  Slopes are given with --alpha (or --a/--b) in
 the expression language of :mod:`sturmlab.irrational`.  Output is exact text;
 permutation orders are emitted as decimal strings, never floats.
 
-The refinement budget comes from --budget, else the SturmLAB_BUDGET
-environment variable, else the library default.
+The refinement budget (the cap on the convergent index a floor may use)
+comes from --budget, else the SturmLAB_BUDGET environment variable, else the
+library default.  Only the CLI reads that variable.
 """
 from __future__ import annotations
 
@@ -51,10 +52,26 @@ def _emit_rows(args, out, header, rows, json_obj):
         w.writerows(rows)
 
 
-def _open_out(args):
-    if args.out:
-        return open(args.out, "w", encoding="utf-8")
-    return sys.stdout
+def _run_to_file(args) -> int:
+    """Run the command into a temporary file beside --out, then rename it over
+    --out, so that a failed command leaves no truncated output behind."""
+    path = os.path.abspath(args.out)
+    if os.path.exists(path) and not os.path.isfile(path):
+        # a device or pipe such as /dev/stdout is written in place, never replaced
+        with open(path, "w", encoding="utf-8") as out:
+            return args.fn(args, out) or 0
+    folder, name = os.path.split(path)
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"--out directory {folder} does not exist")
+    tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as out:
+            rc = args.fn(args, out) or 0
+        os.replace(tmp, path)
+        return rc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _meta(args):
@@ -268,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["csv", "json", "tsv"], default="csv")
     common.add_argument("--out", help="write output to this file instead of stdout")
-    common.add_argument("--budget", type=int, help="refinement budget per comparison")
+    common.add_argument("--budget", type=int, help="caps the convergent index of floors at budget + 1")
     common.add_argument("--seed", type=int, help="seed for randomized checks")
 
     p = argparse.ArgumentParser(
@@ -359,20 +376,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = _open_out(args)
     try:
-        rc = args.fn(args, out)
-        return rc or 0
-    except SturmlabError as exc:
+        if args.out:
+            return _run_to_file(args)
+        return args.fn(args, sys.stdout) or 0
+    except (SturmlabError, OSError) as exc:
         code = type(exc).__name__
         print(f"error[{code}]: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error[InvalidArgument]: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def entry():

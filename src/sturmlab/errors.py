@@ -18,10 +18,12 @@ class CoefficientsExhausted(SturmlabError):
 
 
 class RefinementBudgetExceeded(SturmlabError):
-    """An exact comparison or floor did not resolve within the refinement budget.
+    """A floor or bracket needs a convergent index above budget + 1.
 
-    For genuine irrationals every comparison terminates; hitting the budget
-    almost always means a rational value was smuggled in through a tail rule.
+    The budget caps the depth of the continued-fraction expansion: a floor of
+    u*alpha uses the least convergent index m with q_{m+1} > |u|.  Since q_m
+    grows at least like the Fibonacci numbers, the default budget never binds
+    in practice; a small one bounds the size of the multiples allowed.
     """
 
 

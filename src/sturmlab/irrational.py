@@ -1,13 +1,19 @@
 """Exact irrational slopes.
 
-Every slope is an irrational number presented through two exact channels:
+Every slope is an irrational number presented by its stream of
+continued-fraction partial quotients (for quadratic surds the stream is
+computed with ``math.isqrt``).  Floors and comparisons reduce to integer
+arithmetic on its convergents p_m/q_m; no floating point is used anywhere.
 
-* a stream of continued-fraction partial quotients, from which consecutive
-  convergents give shrinking rational brackets of the value, and
-* for quadratic surds, closed-form integer floors via ``math.isqrt``.
+The floor kernel rests on the best-approximation bound
+|value - p_m/q_m| < 1/(q_m q_{m+1}).  For |u| < q_{m+1} it gives
 
-All comparisons and floors reduce to integer arithmetic on one of these
-channels; no floating point is used anywhere.
+    floor((u*value + v)/w) = (u*p_m + v*q_m) // (w*q_m)
+
+unless that division is exact; then the side of p_m/q_m that the value lies
+on (above for even m) decides between the quotient and the quotient minus 1.
+So each floor is one integer division at the slope's current convergent
+index m, which only moves forward, when |u| reaches q_{m+1}.
 
 Slope expressions accepted by :func:`parse_slope`:
 
@@ -23,6 +29,7 @@ A finite continued fraction denotes a rational and is rejected.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -88,6 +95,52 @@ def _floor_surd(p: int, q: int, d: int, r: int) -> int:
     return num // r
 
 
+# Quotient streams are module-level generators over plain values, so that a
+# slope's pending stream holds no reference back to the slope.
+
+
+def _surd_quotients(p: int, q: int, d: int, r: int) -> Iterator[int]:
+    """Partial quotients of (p + q*sqrt(d)) / r for r > 0, gcd-reduced."""
+    while True:
+        a = _floor_surd(p, q, d, r)
+        yield a
+        p -= a * r
+        # 1/x = r*(p - q*sqrt(d)) / (p^2 - q^2 d)
+        denom = p * p - q * q * d
+        p, q, r = r * p, -r * q, denom
+        if r < 0:
+            p, q, r = -p, -q, -r
+        g = math.gcd(math.gcd(abs(p), abs(q)), r)
+        p, q, r = p // g, q // g, r // g
+
+
+def _e_quotients() -> Iterator[int]:
+    """Partial quotients of e: [2; 1,2,1, 1,4,1, 1,6,1, ...]."""
+    yield 2
+    m = 2
+    while True:
+        yield 1
+        yield m
+        yield 1
+        m += 2
+
+
+def _cf_quotients(
+    initial: Sequence[int],
+    repeat: Sequence[int] | None,
+    tail: Callable[[int], int | None] | None,
+) -> Iterator[int]:
+    """The initial quotients, then the repeat block forever or the tail rule."""
+    yield from initial
+    if repeat is not None:
+        while True:
+            yield from repeat
+    k = len(initial)
+    while True:
+        yield tail(k)
+        k += 1
+
+
 class IrrationalSlope:
     """Base class: exact floors, comparisons and rational bracketing."""
 
@@ -102,7 +155,11 @@ class IrrationalSlope:
         # convergent recurrence seeds p[-1]/q[-1] = 1/0, p[0]/q[0] = a0/1
         self._convs: list[tuple[int, int]] = []
         self._floors: dict[int, int] = {}
-        self._level = 2  # persistent refinement depth for the CF floor path
+        # floor kernel state at convergent index m: p_m, q_m, q_{m+1}; q_{m+1} = 0
+        # until the first floor, which then loads the convergents
+        self._m = 0
+        self._pm = self._qm = self._qn = 0
+        # "refine_steps" counts advances of the kernel's convergent index
         self.stats = {"floors": 0, "refine_steps": 0}
 
     # -- partial quotient / convergent machinery ------------------------------
@@ -172,35 +229,53 @@ class IrrationalSlope:
     # -- exact floors ----------------------------------------------------------
 
     def _floor_affine(self, u: int, v: int, w: int) -> int:
-        """Exact floor of (u*value + v)/w.  Default: refine rational brackets."""
+        """Exact floor of (u*value + v)/w: one division at convergent m."""
         if w == 0:
             raise ZeroDivisionError("w must be nonzero")
         if w < 0:
             u, v, w = -u, -v, -w
         if u == 0:
             return v // w
-        level = self._level
-        for _ in range(self.budget):
-            (lp, lq), (hp, hq) = self._endpoints(level)
-            f1 = (u * lp + v * lq) // (w * lq)
-            f2 = (u * hp + v * hq) // (w * hq)
-            if u < 0:
-                f1, f2 = f2, f1
-            if f1 == f2:
-                self._level = level
+        if not -self._qn < u < self._qn:
+            self._advance(abs(u))
+        q = self._qm
+        f, r = divmod(u * self._pm + v * q, w * q)
+        # exact division: the sign of u*(value - p_m/q_m) settles the floor
+        if r == 0 and (u > 0) != (self._m % 2 == 0):
+            f -= 1
+        return f
+
+    def _advance(self, n: int) -> None:
+        """Move the kernel to the least index m >= its current one with q_{m+1} > n."""
+        m = self._m
+        while self.convergent(m + 1).q <= n:
+            m += 1
+            if m > self.budget + 1:
+                raise RefinementBudgetExceeded(
+                    f"a floor of {n}*alpha needs a convergent index above "
+                    f"budget + 1 = {self.budget + 1}"
+                )
+        self.stats["refine_steps"] += m - self._m
+        self._m = m
+        self._pm, self._qm = self._convs[m]
+        self._qn = self._convs[m + 1][1]
+
+    def _floor_affine_cf(self, u: int, v: int, w: int) -> int:
+        """Interval-refinement floor, kept as an independent route for tests."""
+        if w == 0:
+            raise ZeroDivisionError("w must be nonzero")
+        if w < 0:
+            u, v, w = -u, -v, -w
+        if u == 0:
+            return v // w
+        for level in range(2, self.budget + 2):
+            lo, hi = self._bracket(level)
+            f1 = math.floor((u * lo + v) / w)
+            if f1 == math.floor((u * hi + v) / w):
                 return f1
-            level += 1
-            self.stats["refine_steps"] += 1
         raise RefinementBudgetExceeded(
             f"floor of ({u}*alpha + {v})/{w} unresolved after {self.budget} refinements"
         )
-
-    def _endpoints(self, level: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        a = self.convergent(level)
-        b = self.convergent(level + 1)
-        if Fraction(a.p, a.q) < Fraction(b.p, b.q):
-            return (a.p, a.q), (b.p, b.q)
-        return (b.p, b.q), (a.p, a.q)
 
     def floor_multiple(self, k: int) -> int:
         """Exact floor(k * value) for k >= 1."""
@@ -256,18 +331,14 @@ class IrrationalSlope:
         if eps <= 0:
             raise ValueError("eps must be positive")
         m = self.floor_multiple(k)
-        level = self._level
-        for _ in range(self.budget):
+        for level in range(self._m, self.budget + 2):
             lo, hi = self._bracket(level)
             klo, khi = k * lo - m, k * hi - m
             if 0 <= klo and khi <= 1 and khi - klo < eps:
-                self._level = level
                 return RationalInterval(klo, khi)
-            level += 1
-            self.stats["refine_steps"] += 1
         raise RefinementBudgetExceeded(
             f"interval for fractional part of {k}*alpha not below {eps} "
-            f"after {self.budget} refinements"
+            f"within convergent index budget + 1 = {self.budget + 1}"
         )
 
     def expression(self) -> str:
@@ -294,8 +365,8 @@ class Refiner:
 class QuadraticSurd(IrrationalSlope):
     """(a + b*sqrt(d)) / c with integer parameters, b != 0, d not a square.
 
-    Floors take the isqrt fast path; the inherited continued-fraction path
-    stays available and the two must agree (tested).
+    The partial quotients come from isqrt floors of the surd's complete
+    quotients; floors of multiples use the shared convergent kernel.
     """
 
     kind = "quadratic"
@@ -315,30 +386,8 @@ class QuadraticSurd(IrrationalSlope):
         g = math.gcd(math.gcd(abs(a), abs(b)), c)
         self.a, self.b, self.d, self.c = a // g, b // g, d, c // g
 
-    def _floor_affine(self, u: int, v: int, w: int) -> int:
-        # (u*(a+b*sqrt(d))/c + v)/w = (u*a + v*c + u*b*sqrt(d)) / (c*w)
-        if w == 0:
-            raise ZeroDivisionError("w must be nonzero")
-        return _floor_surd(u * self.a + v * self.c, u * self.b, self.d, self.c * w)
-
-    def _floor_affine_cf(self, u: int, v: int, w: int) -> int:
-        """Interval-refinement floor, kept as an independent route."""
-        return IrrationalSlope._floor_affine(self, u, v, w)
-
     def _quotient_iter(self) -> Iterator[int]:
-        # state (p, q, r) for x = (p + q*sqrt(d)) / r, kept gcd-reduced
-        p, q, r, d = self.a, self.b, self.c, self.d
-        while True:
-            a = _floor_surd(p, q, d, r)
-            yield a
-            p -= a * r
-            # 1/x = r*(p - q*sqrt(d)) / (p^2 - q^2 d)
-            denom = p * p - q * q * d
-            p, q, r = r * p, -r * q, denom
-            if r < 0:
-                p, q, r = -p, -q, -r
-            g = math.gcd(math.gcd(abs(p), abs(q)), r)
-            p, q, r = p // g, q // g, r // g
+        return _surd_quotients(self.a, self.b, self.d, self.c)
 
     def expression(self) -> str:
         if (self.a, self.b, self.d, self.c) == (-1, 1, 5, 2):
@@ -354,13 +403,7 @@ class EulerE(IrrationalSlope):
     kind = "e"
 
     def _quotient_iter(self) -> Iterator[int]:
-        yield 2
-        m = 2
-        while True:
-            yield 1
-            yield m
-            yield 1
-            m += 2
+        return _e_quotients()
 
     def expression(self) -> str:
         return "e"
@@ -372,8 +415,7 @@ class EulerEInv(IrrationalSlope):
     kind = "1/e"
 
     def _quotient_iter(self) -> Iterator[int]:
-        yield 0
-        yield from EulerE()._quotient_iter()
+        return itertools.chain((0,), _e_quotients())
 
     def expression(self) -> str:
         return "1/e"
@@ -421,15 +463,7 @@ class ExplicitCF(IrrationalSlope):
         self.tail = tail
 
     def _quotient_iter(self) -> Iterator[int]:
-        yield from self.initial
-        if self.repeat is not None:
-            while True:
-                yield from self.repeat
-        else:
-            k = len(self.initial)
-            while True:
-                yield self.tail(k)
-                k += 1
+        return _cf_quotients(self.initial, self.repeat, self.tail)
 
     def expression(self) -> str:
         if self.repeat is not None and self.initial[1:] == self.repeat:

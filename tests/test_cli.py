@@ -150,6 +150,31 @@ def test_out_writes_file(run_cli, tmp_path):
     assert "5 2 4 1 3" in target.read_text()
 
 
+def test_out_into_missing_directory_reports_error(run_cli, tmp_path):
+    target = tmp_path / "missing" / "perm.csv"
+    rc, out, err = run_cli(["perm", "--alpha", "phi", "--n", "5", "--out", str(target)])
+    assert rc == 1
+    assert err.startswith("error[FileNotFoundError]")
+    assert len(err.strip().splitlines()) == 1
+    assert not target.parent.exists()
+
+
+def test_failed_command_leaves_no_out_file(run_cli, tmp_path):
+    target = tmp_path / "table.csv"
+    argv = ["table", "--alpha", "e", "--from", "130", "--to", "136", "--budget", "2"]
+    rc, out, err = run_cli([*argv, "--out", str(target)])
+    assert rc == 1
+    assert err.startswith("error[RefinementBudgetExceeded]")
+    assert list(tmp_path.iterdir()) == []
+
+    # a failure also keeps an earlier good output intact
+    target.write_text("kept\n")
+    rc, out, err = run_cli([*argv, "--out", str(target)])
+    assert rc == 1
+    assert target.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_bad_slope_reports_error(run_cli):
     rc, out, err = run_cli(["perm", "--alpha", "2/3", "--n", "5"])
     assert rc == 1

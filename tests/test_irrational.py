@@ -1,6 +1,8 @@
 """Exact slope kernel: convergents, floors, comparisons, parsing, budgets."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -107,10 +109,91 @@ def test_refinement_stream_shrinks_and_nests(named_slope):
 
 
 def test_surd_floor_paths_agree():
-    # the closed-form isqrt floor and the generic refinement floor must agree
+    # the convergent kernel, the refinement floor and the closed-form isqrt
+    # floor must agree
     alpha = sl.QuadraticSurd(-1, 1, 5, 2)
     for k in range(1, 300):
-        assert alpha._floor_affine(k, 0, 1) == alpha._floor_affine_cf(k, 0, 1)
+        want = sl.irrational._floor_surd(k * alpha.a, k * alpha.b, alpha.d, alpha.c)
+        assert alpha._floor_affine(k, 0, 1) == want
+        assert alpha._floor_affine_cf(k, 0, 1) == want
+
+
+# adversarial slopes: huge partial quotients, a pre-periodic CF, a negative
+# surd, slopes above 1, plus the named ones
+KERNEL_SLOPES = {
+    "phi": sl.phi,
+    "e": sl.EulerE,
+    "1/e": sl.EulerEInv,
+    "cf:[0;2,5000,...]": lambda: sl.parse_slope("cf:[0;2,5000,...]"),
+    "cf:[0;1,100000,...]": lambda: sl.parse_slope("cf:[0;1,100000,...]"),
+    "cf:[0;3000,1,...]": lambda: sl.parse_slope("cf:[0;3000,1,...]"),
+    "pre-periodic": lambda: sl.ExplicitCF([3, 1, 4], repeat=[2, 7]),
+    "(1-1*sqrt(3))/1": lambda: sl.parse_slope("(1-1*sqrt(3))/1"),
+    "(-2+1*sqrt(13))/4": lambda: sl.parse_slope("(-2+1*sqrt(13))/4"),
+    "(7+3*sqrt(2))/2": lambda: sl.parse_slope("(7+3*sqrt(2))/2"),
+    "cf:[2;1,2,...]": lambda: sl.parse_slope("cf:[2;1,2,...]"),
+}
+
+
+def _oracles(alpha, u, v, w):
+    yield alpha._floor_affine_cf(u, v, w)
+    if isinstance(alpha, sl.QuadraticSurd):
+        yield sl.irrational._floor_surd(
+            u * alpha.a + v * alpha.c, u * alpha.b, alpha.d, alpha.c * w
+        )
+
+
+def _kernel_cases(oracle, rng):
+    """(u, v, w) triples: exact multiples j*q_m of every early convergent
+    denominator below q_{m+1} in ascending order, so the kernel meets them at
+    index m where the division is exact, then random ones in random order."""
+    cases = []
+    for m in range(8):
+        q, q_next = oracle.convergent(m).q, oracle.convergent(m + 1).q
+        for j in (1, 2, (q_next - 1) // q):
+            if 0 < j * q < q_next:
+                for sign in (1, -1):
+                    cases.append((sign * j * q, 0, 1))
+                    cases.append((sign * j * q, rng.randint(-50, 50), 1))
+    cases.sort(key=lambda c: abs(c[0]))
+    for _ in range(150):
+        u = rng.choice([1, -1]) * rng.randint(1, 10 ** rng.randint(1, 12))
+        v = rng.choice([0, rng.randint(-(10**6), 10**6)])
+        cases.append((u, v, rng.choice([-5, 1, 3, 1000])))
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SLOPES))
+def test_floor_kernel_matches_independent_oracles(name):
+    make = KERNEL_SLOPES[name]
+    kernel, oracle = make(), make()
+    rng = random.Random(20021)
+    exact = 0
+    for u, v, w in _kernel_cases(oracle, rng):
+        got = kernel._floor_affine(u, v, w)
+        if w == 1 and kernel._qm > 1 and u % kernel._qm == 0:
+            exact += 1
+        for want in _oracles(oracle, u, v, w):
+            assert got == want, (u, v, w)
+    assert exact > 0  # the exact-division branch ran
+    # scans after random access reuse the deeper convergent
+    for k in range(1, 400):
+        assert kernel.floor_multiple(k) == oracle._floor_affine_cf(k, 0, 1)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SLOPES))
+def test_slope_freed_without_cycle_collector(name):
+    alpha = KERNEL_SLOPES[name]()
+    gc.disable()
+    try:
+        for k in range(1, 300):
+            alpha.floor_multiple(k)
+        alpha.frac_compare(5, 8)
+        ref = weakref.ref(alpha)
+        del alpha
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_surd_normalization_invariance():
