@@ -38,11 +38,27 @@ def _slope(args, attr="alpha"):
     return parse_slope(getattr(args, attr), budget=_budget(args))
 
 
+# encoder chunks per write: the encoder yields a few characters per number,
+# and an io.StringIO target keeps every write as its own string until read
+_JSON_BATCH = 1024
+
+
+def _write_json(obj, out):
+    """Write obj as json.dump(obj, out, indent=2) does, then a newline."""
+    batch = []
+    for chunk in json.JSONEncoder(indent=2).iterencode(obj):
+        batch.append(chunk)
+        if len(batch) == _JSON_BATCH:
+            out.write("".join(batch))
+            batch.clear()
+    batch.append("\n")
+    out.write("".join(batch))
+
+
 def _emit_rows(args, out, header, rows, json_obj):
     """Write rows in the requested format; json gets the prepared object."""
     if args.format == "json":
-        json.dump(json_obj, out, indent=2)
-        out.write("\n")
+        _write_json(json_obj, out)
     elif args.format == "tsv":
         for row in rows:
             out.write("\t".join(str(x) for x in row) + "\n")
@@ -83,12 +99,7 @@ def cmd_word(args, out):
     bits = sturmian.characteristic_prefix(alpha, args.n)
     word = "".join(map(str, bits))
     if args.format == "json":
-        json.dump(
-            {"alpha": args.alpha, "n": args.n, "word": word, "meta": _meta(args)},
-            out,
-            indent=2,
-        )
-        out.write("\n")
+        _write_json({"alpha": args.alpha, "n": args.n, "word": word, "meta": _meta(args)}, out)
     else:
         out.write(word + "\n")
 
@@ -120,11 +131,12 @@ def cmd_matrix(args, out):
 
 
 def _perm_payload(alpha_text, pi):
+    # tuples serialize as JSON arrays, so no list copies are needed
     return {
         "alpha": alpha_text,
         "n": pi.n,
-        "perm": list(pi.one_line),
-        "cycles": [list(c) for c in pi.cycles()],
+        "perm": pi.one_line,
+        "cycles": pi.cycles(),
         "sign": permtool.sign_direct(pi),
         "order": str(permtool.order(pi)),
     }
@@ -132,24 +144,21 @@ def _perm_payload(alpha_text, pi):
 
 def cmd_perm(args, out):
     alpha = _slope(args)
-    pi = permtool.pi_direct(alpha, args.n)
+    pi = permtool.pi_sos(alpha, args.n)
     payload = _perm_payload(args.alpha, pi)
     payload["meta"] = _meta(args)
-    _emit_rows(
-        args,
-        out,
-        ["n", "perm", "cycles", "sign", "order"],
-        [
+    rows = []
+    if args.format != "json":  # json output would throw the row's strings away
+        rows.append(
             [
                 pi.n,
-                " ".join(map(str, pi.one_line)),
+                str(pi.one_line)[1:-1].replace(",", ""),  # as in cycle_string
                 pi.cycle_string(),
                 payload["sign"],
                 payload["order"],
             ]
-        ],
-        payload,
-    )
+        )
+    _emit_rows(args, out, ["n", "perm", "cycles", "sign", "order"], rows, payload)
 
 
 def cmd_table(args, out):
@@ -158,7 +167,7 @@ def cmd_table(args, out):
         raise SturmlabError(f"bad range {args.start}..{args.end}")
     rows = []
     for n in range(args.start, args.end + 1):
-        pi = permtool.pi_direct(alpha, n)
+        pi = permtool.pi_sos(alpha, n)
         rows.append([n, permtool.sign_direct(pi), str(permtool.order(pi))])
     _emit_rows(
         args,
@@ -257,7 +266,7 @@ def cmd_congruence(args, out):
     b = _slope(args, "b")
     fa = sturmian.factor_set(a, args.n).factors
     fb = sturmian.factor_set(b, args.n).factors
-    congruent = farey.congruence_test(a, b, args.n)
+    congruent = farey.factors_congruent(fa, fb)
     equal = fa == fb
     complement = fa == farey.complement_factors(fb)
     _emit_rows(

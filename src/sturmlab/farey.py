@@ -169,14 +169,17 @@ def _isometry_exists(da: list[list[int]], db: list[list[int]]) -> bool:
 
 
 def congruence_test(alpha: IrrationalSlope, beta: IrrationalSlope, n: int) -> bool:
-    """Whether the two factor simplices at size n are congruent.
+    """Whether the two factor simplices at size n are congruent."""
+    return factors_congruent(factor_set(alpha, n).factors, factor_set(beta, n).factors)
+
+
+def factors_congruent(va: tuple[tuple[int, ...], ...], vb: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether the simplices with vertex sets va and vb are congruent.
 
     Vertices are 0/1 vectors, so all squared distances are integers and
     congruence reduces to a distance-preserving vertex bijection, found by
     backtracking with per-vertex distance-profile pruning.
     """
-    va = factor_set(alpha, n).factors
-    vb = factor_set(beta, n).factors
     return _isometry_exists(_hamming_matrix(va), _hamming_matrix(vb))
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import InternalInvariantViolation, NotInImage, SingularParameters
 from .irrational import IrrationalSlope
-from .permtool import FracPermutation, pi_direct
+from .permtool import FracPermutation, pi_sos
 
 Matrix = list[list[int]]
 
@@ -98,11 +98,12 @@ def factor_matrix(sigma: FracPermutation) -> FactorMatrix:
 def m_from_alpha(alpha: IrrationalSlope, n: int, via: str = "perm") -> FactorMatrix:
     """Matrix of the fractional-part ordering permutation at size n.
 
-    via="perm" goes through the permutation; via="factors" assembles the same
+    via="perm" goes through the permutation (built by the recurrence
+    :func:`~sturmlab.permtool.pi_sos`); via="factors" assembles the same
     matrix from the geometric factor columns.  The two must agree.
     """
     if via == "perm":
-        return factor_matrix(pi_direct(alpha, n))
+        return factor_matrix(pi_sos(alpha, n))
     if via == "factors":
         from .sturmian import factor_set  # local import keeps modules acyclic
 

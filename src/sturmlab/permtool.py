@@ -2,12 +2,21 @@
 
 pi(k) is the index whose fractional part is k-th smallest.  Composition is
 (sigma*tau)(i) = sigma(tau(i)), i.e. the right factor acts first.
+
+The ordering is built by :func:`pi_sos`, the three-distance (Sos) recurrence:
+once the indices of the least and the greatest fractional part are known,
+each next index follows from the previous one by one integer step.  Both
+extremes lie among the semiconvergent denominators <= n of the slope
+(:func:`extreme_positions`), so an ordering costs O(log n) exact comparisons
+and O(n) integer steps.  :func:`pi_direct`, a comparison sort, is kept as
+the independent route the tests check it against.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import Iterator, Sequence
 
 from .errors import RecurrenceMismatch
@@ -22,8 +31,8 @@ class FracPermutation:
     one_line: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.one_line) != self.n or sorted(self.one_line) != list(
-            range(1, self.n + 1)
+        if len(self.one_line) != self.n or not all(
+            map(operator.eq, sorted(self.one_line), range(1, self.n + 1))
         ):
             raise ValueError(f"not a permutation of 1..{self.n}: {self.one_line}")
 
@@ -66,69 +75,113 @@ class FracPermutation:
             raise ValueError("cannot embed into a smaller symmetric group")
         return FracPermutation(m, self.one_line + tuple(range(self.n + 1, m + 1)))
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Disjoint cycles, each starting at its least element, sorted by it."""
-        seen = [False] * self.n
+    @cached_property
+    def _cycles(self) -> tuple[tuple[int, ...], ...]:
+        # walked once per permutation; sign, order and the CLI all read it
+        line = self.one_line
+        seen = bytearray(self.n + 1)
         out = []
         for start in range(1, self.n + 1):
-            if seen[start - 1]:
+            if seen[start]:
                 continue
             cyc = [start]
-            seen[start - 1] = True
-            j = self(start)
+            seen[start] = 1
+            j = line[start - 1]
             while j != start:
                 cyc.append(j)
-                seen[j - 1] = True
-                j = self(j)
+                seen[j] = 1
+                j = line[j - 1]
             out.append(tuple(cyc))
-        return out
+        return tuple(out)
+
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Disjoint cycles, each starting at its least element, sorted by it."""
+        return list(self._cycles)
 
     def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
+        return tuple(sorted(map(len, self._cycles), reverse=True))
 
     def fixed_points(self) -> list[int]:
         return [i for i in range(1, self.n + 1) if self(i) == i]
 
     def cycle_string(self) -> str:
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles())
+        # a tuple's repr without its commas; unlike joining str() of every
+        # entry, this makes no string object per entry
+        return "".join(str(c).replace(",", "") for c in self._cycles)
 
 
 def pi_direct(alpha: IrrationalSlope, n: int) -> FracPermutation:
-    """Sort 1..n by fractional part of k*alpha, exactly."""
+    """Sort 1..n by fractional part of k*alpha, exactly.
+
+    An O(n log n)-comparison sort, independent of the recurrence: the tests'
+    reference for :func:`pi_sos`.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     line = sorted(range(1, n + 1), key=cmp_to_key(alpha.frac_compare))
     return FracPermutation(n, tuple(line))
 
 
-def pi_sos(alpha: IrrationalSlope, n: int) -> FracPermutation:
-    """Build the ordering permutation from its three-term recurrence.
+def extreme_positions(alpha: IrrationalSlope, n: int) -> tuple[int, int]:
+    """(first, last): the k in 1..n with the least and the greatest {k*alpha}.
 
-    Only the positions of the least and greatest fractional parts are found
-    by comparison; the rest follows by integer steps.
+    The least {k*alpha} over k <= n is the best approximation from one side,
+    and the greatest the best from the other; both are attained at
+    semiconvergent denominators q_{j-1} + t*q_j <= n with 1 <= t <= a_{j+1}
+    (q_{-1} = 0, so j = 0 gives 1..a_1).  Within one j a larger t comes
+    closer, so only the largest t allowed by n is a candidate, and together
+    with the convergent denominators q_j <= n that leaves O(log n) candidates,
+    compared exactly.  The denominators do not depend on a_0, so slopes above
+    1 and negative slopes need nothing extra.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return FracPermutation(1, (1,))
+    candidates = [1]  # q_0
+    q_prev, q = 0, 1  # q_{j-1}, q_j for j = 0
+    j = 0
+    while q_prev + q <= n:
+        a = alpha.partial_quotient(j + 1)
+        candidates.append(q_prev + min(a, (n - q_prev) // q) * q)
+        q_prev, q = q, q_prev + a * q
+        j += 1
     first = last = 1
-    for k in range(2, n + 1):
+    for k in candidates:
         if alpha.frac_compare(k, first) < 0:
             first = k
-        if alpha.frac_compare(k, last) > 0:
+        elif alpha.frac_compare(k, last) > 0:
             last = k
-    line = [0] * n
-    line[0] = first
-    for k in range(1, n):
-        nxt = line[k - 1]
-        if line[k - 1] <= last:
+    return first, last
+
+
+def pi_sos(alpha: IrrationalSlope, n: int) -> FracPermutation:
+    """Build the ordering permutation from its three-term recurrence.
+
+    This is the production route.  Let first and last be the indices of the
+    least and the greatest fractional part; :func:`extreme_positions` finds
+    them among the semiconvergent denominators <= n with O(log n) exact
+    comparisons.  By the three distance theorem the index after k in
+    increasing order is then k + first when k + first <= n, else k - last
+    when k > last, else k + first - last: O(n) integer steps, no further
+    comparison.  A result that is not a permutation of 1..n raises
+    RecurrenceMismatch.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    first, last = extreme_positions(alpha, n)
+    line = [first]
+    k = first
+    for _ in range(n - 1):
+        nxt = k
+        if k <= last:
             nxt += first
-        if n < first + line[k - 1]:
+        if n < first + k:
             nxt -= last
-        line[k] = nxt
-    if sorted(line) != list(range(1, n + 1)):
-        raise RecurrenceMismatch(f"recurrence produced a non-bijection for n={n}")
-    return FracPermutation(n, tuple(line))
+        line.append(nxt)
+        k = nxt
+    try:
+        return FracPermutation(n, tuple(line))
+    except ValueError:
+        raise RecurrenceMismatch(f"recurrence produced a non-bijection for n={n}") from None
 
 
 def b_alpha(alpha: IrrationalSlope, k: int) -> int:
@@ -214,7 +267,7 @@ def rho(n: int, k: int) -> FracPermutation:
 
 def sign_direct(pi: FracPermutation) -> int:
     """Signature via cycle decomposition."""
-    return -1 if (pi.n - len(pi.cycles())) % 2 else 1
+    return -1 if (pi.n - len(pi._cycles)) % 2 else 1
 
 
 def sign_formula(alpha: IrrationalSlope, m: int) -> int:
@@ -234,7 +287,7 @@ def sign_formula(alpha: IrrationalSlope, m: int) -> int:
 
 
 def order(pi: FracPermutation) -> int:
-    return math.lcm(*(len(c) for c in pi.cycles()))
+    return math.lcm(*map(len, pi._cycles))
 
 
 def multiplicative_order(x: int, m: int) -> int:
@@ -274,7 +327,7 @@ def order_prediction(
     if n < 2:
         raise ValueError("n must be >= 2")
     if pi is None:
-        pi = pi_direct(alpha, n)
+        pi = pi_sos(alpha, n)
     if pi(n) == n:
         t = multiplicative_order(pi(1), n)
         return OrderPrediction("max", t, t)
@@ -314,7 +367,7 @@ def three_distance_gaps(
     that maintain it incrementally can skip the sort).
     """
     if ordering is None:
-        ordering = pi_direct(alpha, n).one_line
+        ordering = pi_sos(alpha, n).one_line
     fred = alpha.floor_reduced
     seq = [0] + list(ordering)
     gaps = []

@@ -110,11 +110,11 @@ def run(seed: int = 0, report=print) -> int:
     check("adjacent-transposition-matrix", matrep.factor_matrix(adj).entries == ADJ_43_S5)
 
     ph = phi()
-    pi5 = permtool.pi_direct(ph, 5)
+    pi5 = permtool.pi_sos(ph, 5)
     check("perm-phi-5", pi5.one_line == (5, 2, 4, 1, 3))
     check("perm-phi-5-order", permtool.order(pi5) == 4)
     check("perm-phi-5-sign", permtool.sign_direct(pi5) == -1)
-    check("perm-phi-5-recurrence", permtool.pi_sos(ph, 5).one_line == pi5.one_line)
+    check("perm-phi-5-direct-sort", permtool.pi_direct(ph, 5).one_line == pi5.one_line)
     check("matrix-phi-5", matrep.factor_matrix(pi5).entries == MATRIX_PHI_5)
 
     prod = matrep.mat_mul(ADJ_43_S5, MATRIX_PHI_5)
@@ -129,7 +129,7 @@ def run(seed: int = 0, report=print) -> int:
     ok = True
     detail = ""
     for n, (sgn, orde) in TABLE_E_SPOTS.items():
-        pin = permtool.pi_direct(e, n)
+        pin = permtool.pi_sos(e, n)
         got = (permtool.sign_direct(pin), permtool.order(pin))
         if got != (sgn, orde):
             ok, detail = False, f"n={n}: got {got}, want {(sgn, orde)}"

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 import sturmlab.cli
+from sturmlab import farey, sturmian
+
+SNAPSHOTS = Path(__file__).with_name("snapshots")
+SNAPSHOT_SLOPES = {"phi": "phi", "e": "e", "lq": "cf:[0;2,32003,...]"}
 
 
 def parse_csv(text):
@@ -140,6 +145,45 @@ def test_congruence_csv(run_cli):
     header, rows = parse_csv(out)
     assert header == ["n", "congruent", "factors_equal", "factors_complement"]
     assert rows == [["9", "1", "0", "1"]]
+
+
+def test_json_writer_matches_json_dump_across_batches():
+    obj = {"perm": tuple(range(3000)), "cycles": [(1, 2), (3,)], "meta": {"budget": 7}}
+    out = io.StringIO()
+    sturmlab.cli._write_json(obj, out)
+    assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
+
+
+def test_congruence_builds_each_factor_set_once(run_cli, monkeypatch):
+    calls = []
+    real = sturmian.factor_set
+
+    def counting(alpha, n, scan_cap=None):
+        calls.append(n)
+        return real(alpha, n, scan_cap)
+
+    monkeypatch.setattr(sturmian, "factor_set", counting)
+    monkeypatch.setattr(farey, "factor_set", counting)
+    rc, out, err = run_cli(["congruence", "--a", "phi", "--b", "(3-1*sqrt(5))/2", "--n", "9"])
+    assert rc == 0
+    assert calls == [9, 9]
+
+
+@pytest.mark.parametrize("slope", sorted(SNAPSHOT_SLOPES))
+@pytest.mark.parametrize(
+    "argv, snapshot",
+    [
+        (["perm", "--n", "200"], "perm_{}_200.csv"),
+        (["perm", "--n", "200", "--format", "json"], "perm_{}_200.json"),
+        (["table", "--from", "2", "--to", "60"], "table_{}_2_60.csv"),
+    ],
+)
+def test_output_matches_snapshot(run_cli, slope, argv, snapshot):
+    # the snapshots were written by the comparison-sort route before the
+    # recurrence replaced it; every byte must stay the same
+    rc, out, err = run_cli(argv[:1] + ["--alpha", SNAPSHOT_SLOPES[slope]] + argv[1:])
+    assert rc == 0, err
+    assert out.encode() == (SNAPSHOTS / snapshot.format(slope)).read_bytes()
 
 
 def test_out_writes_file(run_cli, tmp_path):

@@ -1,5 +1,7 @@
 """Ordering permutations: construction, recurrence, signs, orders, gaps."""
 
+import bisect
+import functools
 import math
 import random
 
@@ -76,11 +78,92 @@ def test_pi_sos_equals_pi_direct_small(named_slope):
         assert sl.pi_sos(alpha, n).one_line == sl.pi_direct(alpha, n).one_line
 
 
+# Slopes for the recurrence oracle: huge partial quotients, a pre-periodic
+# expansion, a negative surd and slopes above 1 or below -1.
+ORACLE_SLOPES = {
+    "cf:[0;2,32003,...]": lambda: sl.parse_slope("cf:[0;2,32003,...]"),
+    "cf:[0;33023,1,...]": lambda: sl.parse_slope("cf:[0;33023,1,...]"),
+    "cf:[0;1,100000,...]": lambda: sl.parse_slope("cf:[0;1,100000,...]"),
+    "pre-periodic": lambda: sl.ExplicitCF([1, 4, 2, 9, 1], repeat=[3, 250, 1]),
+    "(5-3*sqrt(7))/2": lambda: sl.parse_slope("(5-3*sqrt(7))/2"),
+    "cf:[3;1,1,1,50,...]": lambda: sl.parse_slope("cf:[3;1,1,1,50,...]"),
+    "cf:[-2;7,1,...]": lambda: sl.parse_slope("cf:[-2;7,1,...]"),
+}
+ORACLE_N = 1200
+# sizes around convergent denominators up to here are checked too
+ORACLE_Q_MAX = 110_000
+
+
+def _is_increasing_ordering(alpha, line):
+    """Whether line lists 1..len(line) by strictly increasing fractional part."""
+    return sorted(line) == list(range(1, len(line) + 1)) and all(
+        alpha.frac_compare(a, b) < 0 for a, b in zip(line, line[1:])
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SLOPES))
+def test_pi_sos_equals_direct_sort(name):
+    alpha = ORACLE_SLOPES[name]()
+    # the comparison sort, grown one index at a time by binary insertion
+    ordering = []
+    key = functools.cmp_to_key(alpha.frac_compare)
+    for n in range(1, ORACLE_N + 1):
+        bisect.insort(ordering, n, key=key)
+        assert sl.pi_sos(alpha, n).one_line == tuple(ordering), f"n={n}"
+    assert sl.pi_direct(alpha, ORACLE_N).one_line == tuple(ordering)
+    j = 0
+    while alpha.convergent(j).q < ORACLE_Q_MAX:
+        q = alpha.convergent(j).q
+        for n in (q - 1, q, q + 1):
+            if n > ORACLE_N:
+                assert _is_increasing_ordering(alpha, sl.pi_sos(alpha, n).one_line), f"n={n}"
+            elif n >= 1:
+                assert sl.pi_sos(alpha, n).one_line == sl.pi_direct(alpha, n).one_line
+        j += 1
+
+
+def _brute_extremes(alpha, n_max):
+    """(n, least index, greatest index) of {k*alpha} over k <= n, n = 1..n_max."""
+    first = last = 1
+    for n in range(1, n_max + 1):
+        if alpha.frac_compare(n, first) < 0:
+            first = n
+        if alpha.frac_compare(n, last) > 0:
+            last = n
+        yield n, first, last
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SLOPES))
+def test_extreme_positions_match_brute_force(name):
+    alpha = ORACLE_SLOPES[name]()
+    for n, first, last in _brute_extremes(alpha, ORACLE_N):
+        assert sl.permtool.extreme_positions(alpha, n) == (first, last), f"n={n}"
+
+
+def test_extreme_positions_on_random_pre_periodic_slopes():
+    rng = random.Random(4127)
+    for _ in range(60):
+        head = [rng.randint(-4, 4)] + [rng.randint(1, 40) for _ in range(rng.randint(0, 3))]
+        block = [rng.choice((1, 2, 3, rng.randint(1, 5000))) for _ in range(rng.randint(1, 3))]
+        alpha = sl.ExplicitCF(head, repeat=block)
+        for n, first, last in _brute_extremes(alpha, 300):
+            assert sl.permtool.extreme_positions(alpha, n) == (first, last), (head, block, n)
+
+
+def test_pi_sos_reports_a_broken_recurrence(monkeypatch):
+    # with wrong extremes the recurrence stalls and repeats an index
+    monkeypatch.setattr(sl.permtool, "extreme_positions", lambda alpha, n: (1, 1))
+    with pytest.raises(sl.RecurrenceMismatch):
+        sl.pi_sos(sl.phi(), 5)
+
+
 def test_pi_rejects_bad_n():
     with pytest.raises(ValueError):
         sl.pi_direct(sl.phi(), 0)
     with pytest.raises(ValueError):
         sl.pi_sos(sl.phi(), 0)
+    with pytest.raises(ValueError):
+        sl.permtool.extreme_positions(sl.phi(), 0)
 
 
 def test_b_alpha_matches_numeric_count(named_slope):
