@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator
 
 from .errors import WitnessCollision
@@ -101,17 +102,27 @@ def exact_integral(n: int) -> IntegralResult:
 def sign_sum(alpha: IrrationalSlope, upto: int) -> tuple[int, int]:
     """(final sum, max |partial sum|) of ordering-permutation signs.
 
-    The sign changes only at even sizes m, by the parity of floor(m*alpha);
-    each step therefore costs one exact floor.
+    The sign changes only at even sizes m, by the parity of floor(m*alpha),
+    and then holds at m + 1; so the sizes go in pairs (m, m + 1), each read
+    off one floor of the stream alpha.floors(2, 2).  Within a pair the sum
+    moves twice by the same sign, so its largest |sum| is at an end.
     """
     if upto < 1:
         raise ValueError("upto must be >= 1")
-    cur, total, peak = 1, 0, 0
-    for m in range(1, upto + 1):
-        if m > 1 and m % 2 == 0 and alpha.floor_multiple(m) % 2:
+    cur = total = peak = 1  # size 1
+    floors = alpha.floors(2, 2)
+    for f in islice(floors, (upto - 1) // 2):
+        if f & 1:
+            cur = -cur
+        total += 2 * cur
+        if abs(total) > peak:
+            peak = abs(total)
+    if upto % 2 == 0:  # the last even size has no partner
+        if next(floors) & 1:
             cur = -cur
         total += cur
         peak = max(peak, abs(total))
+    floors.close()
     return total, peak
 
 

@@ -15,6 +15,12 @@ on (above for even m) decides between the quotient and the quotient minus 1.
 So each floor is one integer division at the slope's current convergent
 index m, which only moves forward, when |u| reaches q_{m+1}.
 
+Scans over k = start, start + step, ... use :meth:`IrrationalSlope.floors`,
+a stream of floor(k*value) that divides once per run of indices below
+q_{m+1} and then carries quotient and remainder forward by one addition
+per index.  Random access goes through :meth:`IrrationalSlope.floor_multiple`,
+which caches small indices.
+
 Slope expressions accepted by :func:`parse_slope`:
 
     phi                     (-1+sqrt(5))/2
@@ -45,8 +51,8 @@ from .errors import (
 
 DEFAULT_BUDGET = 10_000
 
-# floors for indices above this are recomputed instead of cached, so that
-# streaming scans over millions of indices stay O(1) in memory
+# floor_multiple caches the floors of indices up to this, for the random
+# access of comparisons and orderings; scans read the uncached floors stream
 _FLOOR_CACHE_LIMIT = 100_000
 
 
@@ -288,6 +294,46 @@ class IrrationalSlope:
             if k <= _FLOOR_CACHE_LIMIT:
                 self._floors[k] = f
         return f
+
+    def floors(self, start: int = 1, step: int = 1) -> Iterator[int]:
+        """Yield floor(k * value) exactly for k = start, start + step, ....
+
+        For k < q_{m+1} the kernel's rule reads floor((k*p_m - m%2) / q_m):
+        at odd m, p_m/q_m lies above the value, which is the exact-division
+        case of _floor_affine.  So one divmod opens each block of indices
+        below q_{m+1}, and each later term carries quotient and remainder
+        forward by one addition.  At k = q_{m+1} the kernel advances, under
+        the same budget as floor_multiple.  The floors bypass the cache;
+        stats["floors"] grows by one per yielded floor, counted at the end of
+        each block and, for a stream closed mid-block, when it is closed.
+        """
+        if start < 1 or step < 1:
+            raise ValueError("start and step must be >= 1")
+        stats = self.stats
+        k = start
+        i = -1  # the current block has yielded i + 1 floors not yet counted
+        try:
+            while True:
+                if k >= self._qn:
+                    self._advance(k)
+                qm = self._qm
+                f, r = divmod(k * self._pm - self._m % 2, qm)
+                df, dr = divmod(step * self._pm, qm)
+                df1, lim = df + 1, qm - dr  # r + dr >= q_m iff r >= lim
+                n = (self._qn - k + step - 1) // step
+                for i in range(n):
+                    yield f
+                    if r >= lim:
+                        r -= lim
+                        f += df1
+                    else:
+                        r += dr
+                        f += df
+                stats["floors"] += n
+                i = -1
+                k += n * step
+        finally:
+            stats["floors"] += i + 1
 
     def floor_reduced(self, k: int) -> int:
         """floor(k * {value}) where {x} is the fractional part."""

@@ -17,6 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
+from itertools import islice
 from typing import Iterator, Sequence
 
 from .errors import RecurrenceMismatch
@@ -196,40 +197,35 @@ def b_stream(alpha: IrrationalSlope) -> Iterator[tuple[int, int]]:
 
     Works on the slope gamma = {alpha} or its reflection 1 - {alpha},
     whichever lies below 1/2; there the second difference of B depends only
-    on which of [0, g), [g, 2g), [2g, 1) contains {k*g}, and each test is a
-    comparison of exact floors.
+    on which of [0, g), [g, 2g), [2g, 1) contains {k*g}, which the Sturmian
+    bits of gamma at k and k-1 tell.  Each bit is a difference of consecutive
+    floors of the slope's stream (:meth:`IrrationalSlope.floors`): gamma's
+    bit at k is 1 iff floor(k*alpha) - floor((k-1)*alpha) == inc.  Under the
+    reflection B(k) = k - 1 - B_gamma(k), so the second difference of B
+    changes sign.
     """
-    f1 = alpha.floor_multiple(1)
-
-    def fred(k: int) -> int:
-        return alpha.floor_multiple(k) - k * f1
-
-    flip = fred(2) == 1  # floor(2{a}) = 1 iff {a} > 1/2
-
-    def g(k: int) -> int:
-        fk = fred(k)
-        return k - 1 - fk if flip else fk
-
-    def out(k: int, bg: int) -> int:
-        return k - 1 - bg if flip else bg
-
+    floors = alpha.floors()
+    f1 = next(floors)
+    fprev = next(floors)
+    flip = fprev - 2 * f1 == 1  # floor(2{a}) = 1 iff {a} > 1/2
+    inc = f1 if flip else f1 + 1  # floor-difference of a 1 bit of gamma
+    sgn = -1 if flip else 1
     yield 1, 0
-    b2, b1 = 0, 1  # B_gamma at k-1 and k-2 once the loop starts
-    yield 2, out(2, 1)
-    g2, g1 = g(1), g(2)
+    b = 0 if flip else 1
+    yield 2, b
+    d = b  # B(k-1) - B(k-2)
+    bit = fprev - f1 == inc  # gamma's bit at k-1
     k = 3
-    while True:
-        gk = g(k)
-        if gk - g1 == 1:
-            step = 1 - k  # {k g} in [0, g)
-        elif gk - g2 >= 1:
-            step = k - 1  # {k g} in [g, 2g)
-        else:
-            step = 0  # {k g} in [2g, 1)
-        bk = 2 * b1 - b2 + step
-        yield k, out(k, bk)
-        b2, b1 = b1, bk
-        g2, g1 = g1, gk
+    for fk in floors:
+        if fk - fprev == inc:
+            d -= sgn * (k - 1)  # {k g} in [0, g)
+            bit = True
+        elif bit:
+            d += sgn * (k - 1)  # {k g} in [g, 2g)
+            bit = False
+        b += d  # {k g} in [2g, 1) leaves the first difference alone
+        yield k, b
+        fprev = fk
         k += 1
 
 
@@ -273,17 +269,15 @@ def sign_direct(pi: FracPermutation) -> int:
 def sign_formula(alpha: IrrationalSlope, m: int) -> int:
     """Signature of the ordering permutation from floor parities.
 
-    The product of (-1)^floor(2*l*alpha) over l <= m//2.  Adding an integer
-    to alpha changes each floor by an even amount, so reduction mod 1 is
-    immaterial here.
+    The product of (-1)^floor(2*l*alpha) over l <= m//2, read off the
+    stream alpha.floors(2, 2) as :func:`farey.sign_sum` does.  Adding an
+    integer to alpha changes each floor by an even amount, so reduction mod 1
+    is immaterial here.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    s = 1
-    for l in range(1, m // 2 + 1):
-        if alpha.floor_multiple(2 * l) % 2:
-            s = -s
-    return s
+    odd = sum(f & 1 for f in islice(alpha.floors(2, 2), m // 2))
+    return -1 if odd % 2 else 1
 
 
 def order(pi: FracPermutation) -> int:

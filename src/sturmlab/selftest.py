@@ -6,6 +6,7 @@ suite lives outside the package.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -136,6 +137,16 @@ def run(seed: int = 0, report=print) -> int:
             break
     check("table-e-spots", ok, detail)
 
+    got = farey.sign_sum(e, 10)
+    check("signsum-e-10", got == (-4, 5), f"got {got}")
+    ok, detail = True, ""
+    for k, bk in itertools.islice(permtool.b_stream(inv_e), 200):
+        want = permtool.b_alpha(inv_e, k)
+        if bk != want:
+            ok, detail = False, f"k={k}: got {bk}, want {want}"
+            break
+    check("bstream-1/e-200", ok, detail)
+
     check("integral-1", farey.exact_integral(1).value == 1)
     check("integral-2", farey.exact_integral(2).value == Fraction(3, 2))
     check("volume-1/e-6", matrep.simplex_volume(inv_e, 6) == Fraction(1, 720))
@@ -154,8 +165,6 @@ def run(seed: int = 0, report=print) -> int:
     q = matrep.intertwiner(4, 0, 1)
     qm, qi = q.matrix(), q.inverse()
     ok = True
-    import itertools
-
     for line in itertools.permutations(range(1, 5)):
         s = FracPermutation(4, line)
         left = matrep.mat_mul(matrep.mat_mul(qi, matrep.factor_matrix(s).rows()), qm)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import SafetyCapExceeded
 from .irrational import IrrationalSlope
@@ -77,8 +78,20 @@ def word_prefix(spec: WordSpec, length: int) -> list[int]:
 
 
 def characteristic_prefix(alpha: IrrationalSlope, length: int) -> list[int]:
-    """First letters of the characteristic word of the slope."""
-    return word_prefix(WordSpec(alpha), length)
+    """First letters of the characteristic word of the slope.
+
+    Letter i is floor((i+2)*alpha) - floor((i+1)*alpha) - floor(alpha): the
+    difference of consecutive floors of the slope's floor stream.
+    """
+    if length < 1:
+        return []
+    floors = alpha.floors()
+    prev = f1 = next(floors)
+    letters = []
+    for f in islice(floors, length):
+        letters.append(f - prev - f1)
+        prev = f
+    return letters
 
 
 @dataclass(frozen=True)

@@ -176,11 +176,18 @@ def test_congruence_builds_each_factor_set_once(run_cli, monkeypatch):
         (["perm", "--n", "200"], "perm_{}_200.csv"),
         (["perm", "--n", "200", "--format", "json"], "perm_{}_200.json"),
         (["table", "--from", "2", "--to", "60"], "table_{}_2_60.csv"),
+        (["signsum", "--N", "5000"], "signsum_{}_5000.csv"),
+        (["signsum", "--N", "5000", "--format", "json"], "signsum_{}_5000.json"),
+        (["brange", "--target", "2500", "--kmax", "5000"], "brange_{}_5000.csv"),
+        (["brange", "--target", "2500", "--kmax", "5000", "--format", "json"], "brange_{}_5000.json"),
+        (["word", "--n", "500"], "word_{}_500.txt"),
     ],
 )
 def test_output_matches_snapshot(run_cli, slope, argv, snapshot):
-    # the snapshots were written by the comparison-sort route before the
-    # recurrence replaced it; every byte must stay the same
+    # each snapshot was written by the route its command used before a faster
+    # one replaced it: perm and table by the comparison sort, signsum, brange
+    # and word by per-index floor_multiple calls (so meta.floors counts the
+    # same floors); every byte must stay the same
     rc, out, err = run_cli(argv[:1] + ["--alpha", SNAPSHOT_SLOPES[slope]] + argv[1:])
     assert rc == 0, err
     assert out.encode() == (SNAPSHOTS / snapshot.format(slope)).read_bytes()

@@ -124,6 +124,14 @@ def test_sign_sum_e_10():
     assert sl.sign_sum(sl.EulerE(), 10) == (-4, 5)
 
 
+def test_scans_bypass_the_floor_cache():
+    alpha = make_slope("1/e")
+    sl.sign_sum(alpha, 3000)
+    sl.b_range_search(alpha, -1, 3000)
+    assert alpha.stats["floors"] == 1500 + 3000
+    assert not alpha._floors
+
+
 def test_b_range_search_finds_least_k():
     inv_e = make_slope("1/e")
     for target in (0, 1, 2, 5, 9):

@@ -181,6 +181,71 @@ def test_floor_kernel_matches_independent_oracles(name):
         assert kernel.floor_multiple(k) == oracle._floor_affine_cf(k, 0, 1)
 
 
+STREAM_LIMIT = 250_000
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SLOPES))
+@pytest.mark.parametrize("start,step", [(1, 1), (2, 2), (7, 3)])
+def test_floor_stream_matches_kernel_and_oracle(name, start, step):
+    make = KERNEL_SLOPES[name]
+    stream, kernel, oracle = make(), make(), make()
+    edges = set()
+    for j in range(40):
+        q = oracle.convergent(j).q
+        if q > STREAM_LIMIT:
+            break
+        edges.update((q - 1, q, q + 1))
+    ks = range(start, STREAM_LIMIT, step)
+    exact = 0
+    for k, f in zip(ks, stream.floors(start, step)):
+        if k <= 2000:
+            assert f == kernel.floor_multiple(k), k
+        # the stream's block index is the kernel's m; a multiple of q_m at an
+        # odd m is the exact-division case (every k when q_m = 1)
+        odd_exact = stream._m % 2 == 1 and k % stream._qm == 0
+        exact += odd_exact
+        if k in edges or (odd_exact and (k <= 2000 or stream._qm > 1)):
+            assert f == kernel.floor_multiple(k) == oracle._floor_affine_cf(k, 0, 1), k
+    if step == 1:
+        assert exact > 0  # k = q_m at an odd m divides exactly
+    assert stream.stats["floors"] == len(ks)
+
+
+def test_floor_stream_budget_raises_at_the_same_index():
+    kernel = sl.EulerE(budget=1)
+    k_fail = 1
+    with pytest.raises(sl.RefinementBudgetExceeded):
+        while True:
+            kernel.floor_multiple(k_fail)
+            k_fail += 1
+    alpha = sl.EulerE(budget=1)
+    got = []
+    with pytest.raises(sl.RefinementBudgetExceeded):
+        for f in alpha.floors():
+            got.append(f)
+    assert len(got) == k_fail - 1
+    assert got == [kernel.floor_multiple(k) for k in range(1, k_fail)]
+    assert alpha.stats == kernel.stats
+
+
+@pytest.mark.parametrize("taken", [0, 1, 1499, 1500, 2000])
+def test_floor_stream_counts_what_it_yielded(taken):
+    # q_1 = 3000 ends the first block, k = 3, 5, ..., 2999: 1499 floors
+    alpha = sl.parse_slope("cf:[0;3000,1,...]")
+    stream = alpha.floors(3, 2)
+    for _ in range(taken):
+        next(stream)
+    stream.close()
+    assert alpha.stats["floors"] == taken
+    assert not alpha._floors  # the stream bypasses the floor cache
+
+
+def test_floor_stream_rejects_bad_indices():
+    for start, step in ((0, 1), (1, 0), (-2, 2)):
+        with pytest.raises(ValueError):
+            next(sl.phi().floors(start, step))
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_SLOPES))
 def test_slope_freed_without_cycle_collector(name):
     alpha = KERNEL_SLOPES[name]()
