@@ -6,6 +6,7 @@ finite exact sum: one permutation per cell, evaluated at the cell's mediant.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -89,13 +90,20 @@ class IntegralResult:
 
 
 def exact_integral(n: int) -> IntegralResult:
+    # The cell between adjacent a/b < c/d has length 1/(b*d), since
+    # bc - ad = 1 (asserted by farey_cells); so the orders and the cell counts
+    # are summed per denominator b*d, and those sums are added as integers over
+    # the common denominator: one Fraction each for the value and the coverage.
     cells = farey_cells(n)
-    total = Fraction(0)
-    coverage = Fraction(0)
+    orders: dict[int, int] = {}
+    counts: dict[int, int] = {}
     for cell in cells:
-        length = cell.right - cell.left
-        total += length * order(perm_on_cell(cell, n))
-        coverage += length
+        den = cell.left.denominator * cell.right.denominator
+        orders[den] = orders.get(den, 0) + order(perm_on_cell(cell, n))
+        counts[den] = counts.get(den, 0) + 1
+    common = math.lcm(*orders)
+    total = Fraction(sum(s * (common // d) for d, s in orders.items()), common)
+    coverage = Fraction(sum(c * (common // d) for d, c in counts.items()), common)
     return IntegralResult(n, total, len(cells), coverage)
 
 

@@ -85,14 +85,16 @@ def aux_matrix(sigma: FracPermutation) -> AuxMatrix:
     return AuxMatrix(sigma.n, tuple(_w_columns(sigma)))
 
 
-def factor_matrix(sigma: FracPermutation) -> FactorMatrix:
-    cols = _w_columns(sigma)
-    last = cols[-1]
-    n = sigma.n
-    rows = tuple(
-        tuple(cols[j][i] - last[i] for j in range(n)) for i in range(n)
+def _minus_last(cols: Sequence[Sequence[int]]) -> FactorMatrix:
+    """The n x n matrix with columns cols[j] - cols[n], from n + 1 columns."""
+    *head, last = cols
+    return FactorMatrix(
+        len(last), tuple(tuple(c[i] - x for c in head) for i, x in enumerate(last))
     )
-    return FactorMatrix(n, rows)
+
+
+def factor_matrix(sigma: FracPermutation) -> FactorMatrix:
+    return _minus_last(_w_columns(sigma))
 
 
 def m_from_alpha(alpha: IrrationalSlope, n: int, via: str = "perm") -> FactorMatrix:
@@ -107,12 +109,7 @@ def m_from_alpha(alpha: IrrationalSlope, n: int, via: str = "perm") -> FactorMat
     if via == "factors":
         from .sturmian import factor_set  # local import keeps modules acyclic
 
-        cols = factor_set(alpha, n).factors
-        last = cols[-1]
-        rows = tuple(
-            tuple(cols[j][i] - last[i] for j in range(n)) for i in range(n)
-        )
-        return FactorMatrix(n, rows)
+        return _minus_last(factor_set(alpha, n).factors)
     raise ValueError(f"via must be 'perm' or 'factors', got {via!r}")
 
 
@@ -232,7 +229,16 @@ def char_trace(sigma: FracPermutation) -> tuple[int, int]:
 
 
 def det_exact(m: FactorMatrix | Sequence[Sequence[int]]) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination."""
+    """Integer determinant by fraction-free (Bareiss) elimination.
+
+    Step k pivots on the row r >= k whose column-k entry has the least nonzero
+    magnitude, negated when negative (each swap and each negation flips the
+    sign of the result), and then replaces every later row's tail by
+    (x*akk - aik*y) // prev, an exact division by the previous pivot.  A row
+    whose column-k entry is 0 is left untouched when akk == prev, since the
+    update is then x*akk // prev == x.  On factor matrices every pivot is 1 and
+    the rows stay in {-1, 0, 1}, so most rows are skipped at every step.
+    """
     rows = m.entries if isinstance(m, FactorMatrix) else m
     a = [list(r) for r in rows]
     n = len(a)
@@ -241,19 +247,26 @@ def det_exact(m: FactorMatrix | Sequence[Sequence[int]]) -> int:
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if piv is None:
-                return 0
+        piv = min(
+            (r for r in range(k, n) if a[r][k]), key=lambda r: abs(a[r][k]), default=None
+        )
+        if piv is None:
+            return 0
+        if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            ai, ak = a[i], a[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * akk - aik * ak[j]) // prev
-            ai[k] = 0
+        ak = a[k]
+        akk = ak[k]
+        if akk < 0:
+            ak = a[k] = [-x for x in ak]
+            akk = -akk
+            sign = -sign
+        tail = ak[k + 1:]
+        rest = range(k + 1, n) if akk != prev else [i for i in range(k + 1, n) if a[i][k]]
+        for i in rest:
+            ai = a[i]
+            aik = ai[k]
+            ai[k + 1:] = [(x * akk - aik * y) // prev for x, y in zip(ai[k + 1:], tail)]
         prev = akk
     return sign * a[n - 1][n - 1]
 

@@ -150,6 +150,9 @@ def run(seed: int = 0, report=print) -> int:
     check("integral-1", farey.exact_integral(1).value == 1)
     check("integral-2", farey.exact_integral(2).value == Fraction(3, 2))
     check("volume-1/e-6", matrep.simplex_volume(inv_e, 6) == Fraction(1, 720))
+    got = matrep.det_exact(matrep.m_from_alpha(inv_e, 120))
+    want = permtool.sign_direct(permtool.pi_sos(inv_e, 120))
+    check("det-sign-1/e-120", got == want, f"got {got}, want {want}")
 
     rng = random.Random(seed)
     ok = True

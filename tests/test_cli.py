@@ -181,16 +181,28 @@ def test_congruence_builds_each_factor_set_once(run_cli, monkeypatch):
         (["brange", "--target", "2500", "--kmax", "5000"], "brange_{}_5000.csv"),
         (["brange", "--target", "2500", "--kmax", "5000", "--format", "json"], "brange_{}_5000.json"),
         (["word", "--n", "500"], "word_{}_500.txt"),
+        (["volume", "--n", "200"], "volume_{}_200.csv"),
+        (["volume", "--n", "200", "--format", "json"], "volume_{}_200.json"),
+        (["matrix", "--n", "60"], "matrix_{}_60.csv"),
     ],
 )
 def test_output_matches_snapshot(run_cli, slope, argv, snapshot):
     # each snapshot was written by the route its command used before a faster
     # one replaced it: perm and table by the comparison sort, signsum, brange
     # and word by per-index floor_multiple calls (so meta.floors counts the
-    # same floors); every byte must stay the same
+    # same floors), volume by unpivoted Bareiss elimination and matrix by
+    # per-route row assembly; every byte must stay the same
     rc, out, err = run_cli(argv[:1] + ["--alpha", SNAPSHOT_SLOPES[slope]] + argv[1:])
     assert rc == 0, err
     assert out.encode() == (SNAPSHOTS / snapshot.format(slope)).read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_integral_matches_snapshot(run_cli, fmt):
+    # written by the per-cell Fraction sum that the denominator buckets replaced
+    rc, out, err = run_cli(["integral", "--to", "30", "--format", fmt])
+    assert rc == 0, err
+    assert out.encode() == (SNAPSHOTS / f"integral_1_30.{fmt}").read_bytes()
 
 
 def test_out_writes_file(run_cli, tmp_path):

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sturmlab as sl
 from sturmlab.matrep import identity_matrix, mat_mul
@@ -217,6 +219,60 @@ def test_det_exact_against_gaussian_oracle():
 def test_det_exact_rejects_non_square():
     with pytest.raises(ValueError):
         sl.det_exact([[1, 2, 3], [4, 5, 6]])
+
+
+@st.composite
+def det_cases(draw):
+    """A random n x n integer matrix, n <= 7, entries in -50..50, of one kind.
+
+    "sparse" is half zeros, so rows with a zero pivot-column entry are common;
+    "even" has no unit pivot anywhere, so the first pivot differs from the
+    previous one (1) and zero rows must still be scaled; "repeated_row" and
+    "zero_column" are singular; "negative_pivot" puts -1 in column 1, the
+    least magnitude there, so the pivot row is negated.
+    """
+    n = draw(st.integers(1, 7))
+    kind = draw(
+        st.sampled_from(["dense", "sparse", "even", "repeated_row", "zero_column", "negative_pivot"])
+    )
+    if kind == "sparse":
+        entries = st.one_of(st.just(0), st.integers(-50, 50))
+    elif kind == "even":
+        entries = st.one_of(st.just(0), st.integers(-25, 25)).map(lambda x: 2 * x)
+    else:
+        entries = st.integers(-50, 50)
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if kind == "repeated_row" and n > 1:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[j] = list(rows[i])
+    elif kind == "zero_column":
+        c = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[c] = 0
+    elif kind == "negative_pivot":
+        rows[draw(st.integers(0, n - 1))][0] = -1
+    return rows
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(rows=det_cases())
+def test_det_exact_equals_fraction_gauss(rows):
+    assert sl.det_exact(rows) == det_fraction_gauss(rows)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(line=st.integers(1, 150).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_det_of_factor_matrix_is_sign(line):
+    sigma = sl.FracPermutation(len(line), tuple(line))
+    assert sl.det_exact(sl.factor_matrix(sigma)) == sl.sign_direct(sigma)
+
+
+@pytest.mark.parametrize("n", [200, 400])
+@pytest.mark.parametrize("slope", ["phi", "1/e", "cf:[0;1,2,3,...]", "cf:[0;2,32003,...]"])
+def test_det_of_m_from_alpha_is_sign_of_ordering(slope, n):
+    alpha = sl.parse_slope(slope)
+    det = sl.det_exact(sl.m_from_alpha(alpha, n))
+    assert det == sl.sign_direct(sl.pi_sos(alpha, n))
 
 
 def test_reconstruct_roundtrip():
