@@ -39,13 +39,8 @@ from .irrational import (
     IrrationalSlope,
     QuadraticSurd,
     RationalInterval,
-    convergent,
-    floor_multiple,
-    frac_compare,
-    frac_interval,
     parse_slope,
     phi,
-    refinement,
 )
 from .matrep import (
     AuxMatrix,
@@ -63,7 +58,6 @@ from .matrep import (
     simplex_volume,
 )
 from .permtool import (
-    BetterCount,
     FracPermutation,
     Gap,
     OrderPrediction,

@@ -167,8 +167,8 @@ def cmd_table(args, out):
         raise SturmlabError(f"bad range {args.start}..{args.end}")
     rows = []
     for n in range(args.start, args.end + 1):
-        pi = permtool.pi_sos(alpha, n)
-        rows.append([n, permtool.sign_direct(pi), str(permtool.order(pi))])
+        sign, order = permtool.sos_sign_order(n, *permtool.extreme_positions(alpha, n))
+        rows.append([n, sign, str(order)])
     _emit_rows(
         args,
         out,

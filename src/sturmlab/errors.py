@@ -32,7 +32,7 @@ class SafetyCapExceeded(SturmlabError):
 
 
 class RecurrenceMismatch(SturmlabError):
-    """The three-term permutation recurrence produced a non-bijection."""
+    """The three-term permutation recurrence failed to give an ordering."""
 
 
 class NotInImage(SturmlabError, ValueError):

@@ -1,8 +1,11 @@
 """Order-n Farey cells and the experiments built on them.
 
 The ordering permutation of size n is constant on each open interval between
-adjacent order-n Farey fractions, so integrating its order over (0, 1) is a
-finite exact sum: one permutation per cell, evaluated at the cell's mediant.
+adjacent order-n Farey fractions a/b < c/d.  There the least {k x} is at
+k = b and the greatest at k = d, so integrating its order over (0, 1) is an
+exact sum of Sos orders over the coprime pairs b, d <= n < b + d.  The cells
+and the sort at a mediant (:func:`farey_cells`, :func:`perm_on_cell`,
+:func:`cell_containing`) are kept as oracles.
 """
 from __future__ import annotations
 
@@ -12,9 +15,9 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
-from .errors import WitnessCollision
+from .errors import RecurrenceMismatch, WitnessCollision
 from .irrational import IrrationalSlope
-from .permtool import FracPermutation, b_stream, order
+from .permtool import FracPermutation, b_stream, sos_line, sos_sign_order
 from .sturmian import factor_set
 
 
@@ -91,20 +94,29 @@ class IntegralResult:
 
 def exact_integral(n: int) -> IntegralResult:
     # The cell between adjacent a/b < c/d has length 1/(b*d), since
-    # bc - ad = 1 (asserted by farey_cells); so the orders and the cell counts
-    # are summed per denominator b*d, and those sums are added as integers over
-    # the common denominator: one Fraction each for the value and the coverage.
-    cells = farey_cells(n)
+    # bc - ad = 1, and its permutation is the Sos line of (n, b, d); so the
+    # orders and the pair counts are summed per denominator b*d, and those
+    # sums are added as integers over the common denominator: one Fraction
+    # each for the value and the coverage.
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    pairs = list(_farey_pairs(n))
+    # the middle cell is also sorted at its mediant, an independent check
+    # that the extremes lie at the cell's denominators
+    (a, b), (c, d) = pairs[len(pairs) // 2]
+    cell = FareyCell(Fraction(a, b), Fraction(c, d), Fraction(a + c, b + d))
+    if perm_on_cell(cell, n).one_line != tuple(sos_line(n, b, d)):
+        raise RecurrenceMismatch(f"Sos line differs from the sort at {cell.witness}")
     orders: dict[int, int] = {}
     counts: dict[int, int] = {}
-    for cell in cells:
-        den = cell.left.denominator * cell.right.denominator
-        orders[den] = orders.get(den, 0) + order(perm_on_cell(cell, n))
+    for (_, b), (_, d) in pairs:
+        den = b * d
+        orders[den] = orders.get(den, 0) + sos_sign_order(n, b, d)[1]
         counts[den] = counts.get(den, 0) + 1
     common = math.lcm(*orders)
     total = Fraction(sum(s * (common // d) for d, s in orders.items()), common)
     coverage = Fraction(sum(c * (common // d) for d, c in counts.items()), common)
-    return IntegralResult(n, total, len(cells), coverage)
+    return IntegralResult(n, total, len(pairs), coverage)
 
 
 def sign_sum(alpha: IrrationalSlope, upto: int) -> tuple[int, int]:

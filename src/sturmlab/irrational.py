@@ -220,14 +220,6 @@ class IrrationalSlope:
         b = self.convergent(level + 1).value
         return (a, b) if a < b else (b, a)
 
-    def intervals(self) -> Iterator[RationalInterval]:
-        """Yield strictly shrinking open rational brackets of the value."""
-        level = 2
-        while True:
-            lo, hi = self._bracket(level)
-            yield RationalInterval(lo, hi)
-            level += 1
-
     def refinement(self) -> "Refiner":
         """Fresh refinement handle; handles never share position."""
         return Refiner(self)
@@ -521,29 +513,6 @@ class ExplicitCF(IrrationalSlope):
             block = ",".join(str(a) for a in self.repeat)
             return f"cf:[{self.initial[0]};{head},({block})*]"
         return f"cf:[{self.initial[0]};{head},<tail rule>]"
-
-
-# -- module-level op mirrors ----------------------------------------------------
-
-
-def convergent(alpha: IrrationalSlope, k: int) -> Convergent:
-    return alpha.convergent(k)
-
-
-def floor_multiple(alpha: IrrationalSlope, k: int) -> int:
-    return alpha.floor_multiple(k)
-
-
-def frac_compare(alpha: IrrationalSlope, i: int, j: int) -> int:
-    return alpha.frac_compare(i, j)
-
-
-def frac_interval(alpha: IrrationalSlope, k: int, eps) -> RationalInterval:
-    return alpha.frac_interval(k, eps)
-
-
-def refinement(alpha: IrrationalSlope) -> Refiner:
-    return alpha.refinement()
 
 
 # -- slope expressions -----------------------------------------------------------

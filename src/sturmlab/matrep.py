@@ -268,7 +268,7 @@ def det_exact(m: FactorMatrix | Sequence[Sequence[int]]) -> int:
             aik = ai[k]
             ai[k + 1:] = [(x * akk - aik * y) // prev for x, y in zip(ai[k + 1:], tail)]
         prev = akk
-    return sign * a[n - 1][n - 1]
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def simplex_volume(alpha: IrrationalSlope, n: int) -> Fraction:

@@ -8,8 +8,9 @@ once the indices of the least and the greatest fractional part are known,
 each next index follows from the previous one by one integer step.  Both
 extremes lie among the semiconvergent denominators <= n of the slope
 (:func:`extreme_positions`), so an ordering costs O(log n) exact comparisons
-and O(n) integer steps.  :func:`pi_direct`, a comparison sort, is kept as
-the independent route the tests check it against.
+and O(n) integer steps; :func:`sos_sign_order` reads the sign and the order
+off it for the table and the Farey integral.  :func:`pi_direct`, a
+comparison sort, is kept as the independent route the tests check it against.
 """
 from __future__ import annotations
 
@@ -154,33 +155,71 @@ def extreme_positions(alpha: IrrationalSlope, n: int) -> tuple[int, int]:
     return first, last
 
 
+def sos_line(n: int, first: int, last: int) -> list[int]:
+    """The three-distance (Sos) recurrence from first, as a one-line list.
+
+    With first and last the indices of the least and the greatest {k*alpha},
+    the index after k is k + first when k + first <= n, else k - last when
+    k > last, else k + first - last.  Every 1 <= first, last <= n keeps each
+    index in 1..n; other pairs may repeat an index or not end at last.
+    """
+    line = [first]
+    add = line.append
+    k = first
+    low, up, step = n - first, min(n - first, last), first - last
+    for _ in range(n - 1):
+        if k <= up:
+            k += first
+        elif k <= last:
+            k += step
+        elif k > low:
+            k -= last  # else k > last with k + first <= n: a stall
+        add(k)
+    return line
+
+
+def sos_sign_order(n: int, first: int, last: int) -> tuple[int, int]:
+    """(sign, order) of sos_line(n, first, last), with no permutation object.
+
+    One cycle walk over a bytearray of seen indices.  RecurrenceMismatch
+    unless 1 <= first, last <= n, the line ends at last and every walk meets
+    no seen index before its start: that proves a bijection without a sort.
+    """
+    if not (1 <= first <= n and 1 <= last <= n):
+        raise RecurrenceMismatch(f"extremes ({first}, {last}) outside 1..{n}")
+    line = sos_line(n, first, last)
+    if line[-1] != last:
+        raise RecurrenceMismatch(f"recurrence for n={n} does not end at {last}")
+    line.insert(0, 0)  # line[i] is the index of rank i
+    seen = bytearray(n + 1)
+    lengths = []
+    start = 1
+    while start > 0:
+        seen[start] = 1
+        j, length = line[start], 1
+        while not seen[j]:
+            seen[j] = 1
+            j, length = line[j], length + 1
+        if j != start:
+            raise RecurrenceMismatch(f"recurrence produced a non-bijection for n={n}")
+        lengths.append(length)
+        start = seen.find(0, start)
+    return -1 if (n - len(lengths)) % 2 else 1, math.lcm(*lengths)
+
+
 def pi_sos(alpha: IrrationalSlope, n: int) -> FracPermutation:
     """Build the ordering permutation from its three-term recurrence.
 
-    This is the production route.  Let first and last be the indices of the
-    least and the greatest fractional part; :func:`extreme_positions` finds
-    them among the semiconvergent denominators <= n with O(log n) exact
-    comparisons.  By the three distance theorem the index after k in
-    increasing order is then k + first when k + first <= n, else k - last
-    when k > last, else k + first - last: O(n) integer steps, no further
-    comparison.  A result that is not a permutation of 1..n raises
-    RecurrenceMismatch.
+    This is the production route.  :func:`extreme_positions` finds the
+    indices of the least and the greatest fractional part among the
+    semiconvergent denominators <= n with O(log n) exact comparisons; by the
+    three distance theorem :func:`sos_line` then needs no further comparison.
+    A result that is not a permutation of 1..n raises RecurrenceMismatch.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    first, last = extreme_positions(alpha, n)
-    line = [first]
-    k = first
-    for _ in range(n - 1):
-        nxt = k
-        if k <= last:
-            nxt += first
-        if n < first + k:
-            nxt -= last
-        line.append(nxt)
-        k = nxt
     try:
-        return FracPermutation(n, tuple(line))
+        return FracPermutation(n, tuple(sos_line(n, *extreme_positions(alpha, n))))
     except ValueError:
         raise RecurrenceMismatch(f"recurrence produced a non-bijection for n={n}") from None
 
@@ -227,27 +266,6 @@ def b_stream(alpha: IrrationalSlope) -> Iterator[tuple[int, int]]:
         yield k, b
         fprev = fk
         k += 1
-
-
-class BetterCount:
-    """Incrementally extended table of B(k) values for one slope."""
-
-    def __init__(self, alpha: IrrationalSlope):
-        self.alpha = alpha
-        self._table: list[int] = []
-        self._src = b_stream(alpha)
-
-    def value(self, k: int) -> int:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        while len(self._table) < k:
-            _, b = next(self._src)
-            self._table.append(b)
-        return self._table[k - 1]
-
-    def values_upto(self, k: int) -> list[int]:
-        self.value(k)
-        return self._table[:k]
 
 
 def rho(n: int, k: int) -> FracPermutation:

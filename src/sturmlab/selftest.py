@@ -149,6 +149,14 @@ def run(seed: int = 0, report=print) -> int:
 
     check("integral-1", farey.exact_integral(1).value == 1)
     check("integral-2", farey.exact_integral(2).value == Fraction(3, 2))
+    ok, detail = True, ""
+    for cell in farey.farey_cells(6):
+        pc = farey.perm_on_cell(cell, 6)
+        got = permtool.sos_sign_order(6, cell.left.denominator, cell.right.denominator)
+        if got != (permtool.sign_direct(pc), permtool.order(pc)):
+            ok, detail = False, f"cell {cell.left}..{cell.right}: got {got}"
+            break
+    check("integral-cells-6", ok, detail)
     check("volume-1/e-6", matrep.simplex_volume(inv_e, 6) == Fraction(1, 720))
     got = matrep.det_exact(matrep.m_from_alpha(inv_e, 120))
     want = permtool.sign_direct(permtool.pi_sos(inv_e, 120))

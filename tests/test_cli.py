@@ -197,12 +197,22 @@ def test_output_matches_snapshot(run_cli, slope, argv, snapshot):
     assert out.encode() == (SNAPSHOTS / snapshot.format(slope)).read_bytes()
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_integral_matches_snapshot(run_cli, fmt):
-    # written by the per-cell Fraction sum that the denominator buckets replaced
-    rc, out, err = run_cli(["integral", "--to", "30", "--format", fmt])
+@pytest.mark.parametrize(
+    "fmt, to",
+    [
+        pytest.param("csv", 30, id="csv"),
+        pytest.param("json", 30, id="json"),
+        pytest.param("csv", 60, id="csv-60"),
+        pytest.param("json", 60, id="json-60"),
+    ],
+)
+def test_integral_matches_snapshot(run_cli, fmt, to):
+    # integral_1_30 was written by the per-cell Fraction sum that the
+    # denominator buckets replaced, integral_1_60 by the per-cell sort at each
+    # cell's mediant that the Sos kernel over denominator pairs replaced
+    rc, out, err = run_cli(["integral", "--to", str(to), "--format", fmt])
     assert rc == 0, err
-    assert out.encode() == (SNAPSHOTS / f"integral_1_30.{fmt}").read_bytes()
+    assert out.encode() == (SNAPSHOTS / f"integral_1_{to}.{fmt}").read_bytes()
 
 
 def test_out_writes_file(run_cli, tmp_path):

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 import sturmlab as sl
@@ -42,6 +44,15 @@ def brute_integral(n):
         line = tuple(sorted(range(1, n + 1), key=lambda k: (k * w) % 1))
         total += (hi - lo) * perm_order_inline(line)
     return total
+
+
+def cell_sum_integral(n):
+    """(order integral, cell count) as a sum over the cells of farey_cells:
+    each cell's length times the order of the permutation sorted at its
+    mediant."""
+    cells = sl.farey_cells(n)
+    total = sum((c.right - c.left) * sl.order(sl.perm_on_cell(c, n)) for c in cells)
+    return total, len(cells)
 
 
 def test_farey_cells_structure():
@@ -108,6 +119,52 @@ def test_integral_against_brute_oracle():
         assert result.coverage == 1
         assert result.cells == totient_sum(n)
         assert result.n == n
+
+
+def test_sos_kernel_matches_perm_on_cell():
+    # on the cell between adjacent a/b < c/d the least {k x} is at k = b and
+    # the greatest at k = d, so the cell's permutation is the Sos line of (n, b, d)
+    for n in range(1, 41):
+        for cell in sl.farey_cells(n):
+            b, d = cell.left.denominator, cell.right.denominator
+            pc = sl.perm_on_cell(cell, n)
+            assert tuple(sl.permtool.sos_line(n, b, d)) == pc.one_line, (n, b, d)
+            assert sl.permtool.sos_sign_order(n, b, d) == (sl.sign_direct(pc), sl.order(pc))
+
+
+def test_integral_equals_cell_sum():
+    for n in range(1, 61):
+        result = sl.exact_integral(n)
+        assert (result.value, result.cells) == cell_sum_integral(n), n
+        assert result.coverage == 1
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(1, 150))
+def test_denominator_pairs_cover_the_unit_interval(n):
+    # the pairs are the coprime b, d <= n < b + d, one per cell, and the cell
+    # lengths 1/(b*d) add up to exactly 1
+    pairs = [(b, d) for (_, b), (_, d) in sl.farey._farey_pairs(n)]
+    coprime = {
+        (b, d)
+        for b in range(1, n + 1)
+        for d in range(n + 1 - b, n + 1)
+        if math.gcd(b, d) == 1
+    }
+    assert len(pairs) == len(set(pairs)) == totient_sum(n)
+    assert set(pairs) == coprime
+    assert sum(Fraction(1, b * d) for b, d in pairs) == 1
+
+
+def test_integral_checks_the_middle_cell_against_the_sort(monkeypatch):
+    monkeypatch.setattr(sl.farey, "sos_line", lambda n, b, d: list(range(1, n + 1)))
+    with pytest.raises(sl.RecurrenceMismatch):
+        sl.exact_integral(5)
+
+
+def test_integral_rejects_bad_n():
+    with pytest.raises(ValueError):
+        sl.exact_integral(0)
 
 
 def test_sign_sum_matches_direct_partial_sums():

@@ -390,13 +390,3 @@ def test_stats_track_work():
     before = alpha.stats["floors"]
     alpha.floor_multiple(123)
     assert alpha.stats["floors"] > before
-
-
-def test_module_level_mirrors():
-    alpha = sl.phi()
-    assert sl.floor_multiple(alpha, 10) == alpha.floor_multiple(10)
-    assert sl.convergent(alpha, 3).value == alpha.convergent(3).value
-    assert sl.frac_compare(alpha, 2, 5) == alpha.frac_compare(2, 5)
-    box = sl.frac_interval(alpha, 3, Fraction(1, 1000))
-    assert box.width < Fraction(1, 1000)
-    assert sl.refinement(alpha).refine().width < Fraction(1, 2)

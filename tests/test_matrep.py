@@ -216,6 +216,11 @@ def test_det_exact_against_gaussian_oracle():
         assert sl.det_exact(rows) == det_fraction_gauss(rows)
 
 
+def test_det_exact_of_empty_matrix_is_one():
+    # the empty product: the determinant of the 0 x 0 matrix
+    assert sl.det_exact([]) == 1
+
+
 def test_det_exact_rejects_non_square():
     with pytest.raises(ValueError):
         sl.det_exact([[1, 2, 3], [4, 5, 6]])

@@ -157,6 +157,26 @@ def test_pi_sos_reports_a_broken_recurrence(monkeypatch):
         sl.pi_sos(sl.phi(), 5)
 
 
+def test_sos_kernel_rejects_pairs_that_are_not_extremes():
+    # the extremes of some slope at size n are exactly the Farey denominator
+    # pairs: coprime b, d <= n < b + d; every other pair repeats an index or
+    # ends elsewhere than at last, and the kernel must say so, not loop or
+    # index out of range
+    for n in range(1, 31):
+        cells = {(b, d) for (_, b), (_, d) in sl.farey._farey_pairs(n)}
+        for first in range(-1, n + 3):
+            for last in range(-1, n + 3):
+                if 1 <= first <= n and 1 <= last <= n:
+                    line = sl.permtool.sos_line(n, first, last)
+                    assert len(line) == n and min(line) >= 1 and max(line) <= n
+                if (first, last) in cells:
+                    sign, order = sl.permtool.sos_sign_order(n, first, last)
+                    assert sign in (-1, 1) and order >= 1
+                else:
+                    with pytest.raises(sl.RecurrenceMismatch):
+                        sl.permtool.sos_sign_order(n, first, last)
+
+
 def test_pi_rejects_bad_n():
     with pytest.raises(ValueError):
         sl.pi_direct(sl.phi(), 0)
@@ -186,14 +206,6 @@ def test_b_stream_yields_indexed_pairs():
     # below {3 phi}
     stream = sl.b_stream(sl.phi())
     assert [next(stream) for _ in range(3)] == [(1, 0), (2, 0), (3, 2)]
-
-
-def test_better_count_caching():
-    counter = sl.BetterCount(make_slope("1/e"))
-    vals = counter.values_upto(50)
-    assert len(vals) == 50
-    assert vals[21] == counter.value(22)
-    assert counter.value(7) == sl.b_alpha(make_slope("1/e"), 7)
 
 
 def test_rho_cycle_structure():
