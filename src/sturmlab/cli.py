@@ -16,8 +16,9 @@ import csv
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
-from . import farey, matrep, permtool, selftest, sturmian
+from . import farey, matrep, permtool, sturmian
 from .errors import SturmlabError
 from .irrational import DEFAULT_BUDGET, parse_slope
 
@@ -38,21 +39,71 @@ def _slope(args, attr="alpha"):
     return parse_slope(getattr(args, attr), budget=_budget(args))
 
 
-# encoder chunks per write: the encoder yields a few characters per number,
-# and an io.StringIO target keeps every write as its own string until read
+# numbers per slice of an all-int list, and parts per write: one write holds
+# a bounded amount of text whatever n is
 _JSON_BATCH = 1024
 
 
 def _write_json(obj, out):
-    """Write obj as json.dump(obj, out, indent=2) does, then a newline."""
-    batch = []
-    for chunk in json.JSONEncoder(indent=2).iterencode(obj):
-        batch.append(chunk)
-        if len(batch) == _JSON_BATCH:
-            out.write("".join(batch))
-            batch.clear()
-    batch.append("\n")
-    out.write("".join(batch))
+    """Write obj as json.dump(obj, out, indent=2) does, then a newline.
+
+    json's own encoder runs in pure Python whenever indent is set, so this
+    writer builds the same text directly.  Keys and strs go through
+    json.encoder.encode_basestring_ascii and other scalars through
+    json.dumps, so escaping and float repr are json's own.  A list or tuple
+    whose items are all exactly int (bools excluded) is joined at C speed in
+    slices of _JSON_BATCH numbers, each written out at once; everything else
+    is appended part by part and written every _JSON_BATCH parts.  Only
+    dicts with str keys, lists, tuples and JSON scalars are accepted: any
+    other type, or a non-str key, raises TypeError.
+    """
+    parts = []
+    _put_json(obj, "", parts, out)
+    parts.append("\n")
+    out.write("".join(parts))
+
+
+def _put_json(obj, pad, parts, out):
+    """Append the JSON text of obj, whose first line is indented by pad."""
+    if isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        lead = "[\n" + inner
+        if set(map(type, obj)) == {int}:
+            for i in range(0, len(obj), _JSON_BATCH):
+                parts.append(lead + sep.join(map(int.__repr__, obj[i : i + _JSON_BATCH])))
+                out.write("".join(parts))
+                parts.clear()
+                lead = sep
+        else:
+            for item in obj:
+                parts.append(lead)
+                _put_json(item, inner, parts, out)
+                lead = sep
+                if len(parts) >= _JSON_BATCH:
+                    out.write("".join(parts))
+                    parts.clear()
+        parts.append("\n" + pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = pad + "  "
+        lead = "{\n" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            parts.append(lead + encode_basestring_ascii(key) + ": ")
+            _put_json(value, inner, parts, out)
+            lead = ",\n" + inner
+        parts.append("\n" + pad + "}")
+    else:
+        parts.append(json.dumps(obj))  # raises TypeError for a non-JSON type
 
 
 def _emit_rows(args, out, header, rows, json_obj):
@@ -287,6 +338,8 @@ def cmd_congruence(args, out):
 
 
 def cmd_selftest(args, out):
+    from . import selftest  # only this command needs the fixtures
+
     return selftest.run(seed=args.seed or 0, report=lambda s: out.write(s + "\n"))
 
 

@@ -220,10 +220,6 @@ class IrrationalSlope:
         b = self.convergent(level + 1).value
         return (a, b) if a < b else (b, a)
 
-    def refinement(self) -> "Refiner":
-        """Fresh refinement handle; handles never share position."""
-        return Refiner(self)
-
     # -- exact floors ----------------------------------------------------------
 
     def _floor_affine(self, u: int, v: int, w: int) -> int:
@@ -385,19 +381,6 @@ class IrrationalSlope:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.expression()}>"
-
-
-class Refiner:
-    """Stateful handle over a slope's shrinking interval stream."""
-
-    def __init__(self, slope: IrrationalSlope):
-        self._slope = slope
-        self._level = 2
-
-    def refine(self) -> RationalInterval:
-        lo, hi = self._slope._bracket(self._level)
-        self._level += 1
-        return RationalInterval(lo, hi)
 
 
 class QuadraticSurd(IrrationalSlope):

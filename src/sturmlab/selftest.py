@@ -14,8 +14,10 @@ from . import farey, matrep, permtool, sturmian
 from .irrational import EulerE, EulerEInv, phi
 from .permtool import FracPermutation
 
+# 21-letter prefix of the characteristic word of slope 1/e
 WORD_PREFIX_INV_E = [0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1]
 
+# the 7 length-6 factors of slope 1/e, in anti-lexicographic order
 FACTORS_INV_E_6 = (
     (1, 0, 1, 0, 0, 1),
     (1, 0, 0, 1, 0, 1),

@@ -19,6 +19,13 @@ import pytest
 
 import sturmlab as sl
 from sturmlab.matrep import mat_mul
+from sturmlab.selftest import (
+    AUX_52314,
+    FACTORS_INV_E_6,
+    MATRIX_52314,
+    MATRIX_INV_E_6,
+    WORD_PREFIX_INV_E,
+)
 from conftest import SWEEP_N, make_slope
 from table_e_golden import TABLE_E
 
@@ -239,44 +246,15 @@ def test_c12_exact_integral_values_and_sweep(run_cli):
 
 def test_c13_reference_fixtures_byte_exact():
     inv_e = sl.EulerEInv()
-    assert sl.characteristic_prefix(inv_e, 21) == [
-        0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1,
-    ]
-    assert sl.factor_set(inv_e, 6).factors == (
-        (1, 0, 1, 0, 0, 1),
-        (1, 0, 0, 1, 0, 1),
-        (1, 0, 0, 1, 0, 0),
-        (0, 1, 0, 1, 0, 0),
-        (0, 1, 0, 0, 1, 0),
-        (0, 0, 1, 0, 1, 0),
-        (0, 0, 1, 0, 0, 1),
-    )
-    assert sl.m_from_alpha(inv_e, 6).entries == (
-        (1, 1, 1, 0, 0, 0),
-        (0, 0, 0, 1, 1, 0),
-        (0, -1, -1, -1, -1, 0),
-        (0, 1, 1, 1, 0, 0),
-        (0, 0, 0, 0, 1, 1),
-        (0, 0, -1, -1, -1, -1),
-    )
+    assert sl.characteristic_prefix(inv_e, 21) == WORD_PREFIX_INV_E
+    assert sl.factor_set(inv_e, 6).factors == FACTORS_INV_E_6
+    assert sl.m_from_alpha(inv_e, 6).entries == MATRIX_INV_E_6
 
     sigma = sl.FracPermutation(5, (5, 2, 3, 1, 4))
     assert sl.descent_set(sigma) == frozenset({1, 2, 5})
     assert sl.descent_set(sl.FracPermutation(6, (1, 3, 5, 4, 2, 6))) == frozenset({1, 3, 5})
-    assert sl.aux_matrix(sigma).rows() == [
-        [1, 1, 1, 1, 0, 0],
-        [1, 1, 0, 0, 1, 1],
-        [0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 1, 1, 0],
-        [1, 0, 0, 0, 0, 1],
-    ]
-    assert sl.factor_matrix(sigma).entries == (
-        (1, 1, 1, 1, 0),
-        (0, 0, -1, -1, 0),
-        (0, 0, 1, 0, 0),
-        (0, 0, 0, 1, 1),
-        (0, -1, -1, -1, -1),
-    )
+    assert sl.aux_matrix(sigma).rows() == [list(r) for r in AUX_52314]
+    assert sl.factor_matrix(sigma).entries == MATRIX_52314
 
     # the adjacent swap of 3 and 4 in S_5 is the identity plus one
     # delta column at position 4

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,36 @@ def test_json_writer_matches_json_dump_across_batches():
     out = io.StringIO()
     sturmlab.cli._write_json(obj, out)
     assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
+
+
+def test_json_writer_writes_bounded_pieces():
+    batch = sturmlab.cli._JSON_BATCH
+    n = 20 * batch
+    obj = {"perm": tuple(range(n)), "cycles": [(k,) for k in range(n)], "flags": [True] * n}
+    writes = []
+    out = io.StringIO()
+    out.write = writes.append
+    sturmlab.cli._write_json(obj, out)
+    assert "".join(writes) == json.dumps(obj, indent=2) + "\n"
+    assert max(w.count("\n") for w in writes) <= 2 * batch
+
+
+@pytest.mark.parametrize(
+    "obj", [{1: "x"}, {"k": {(1, 2): 3}}, [Fraction(1, 2)], {"s": {1, 2}}, [b"bytes"]]
+)
+def test_json_writer_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        sturmlab.cli._write_json(obj, io.StringIO())
+
+
+def test_readme_example_json_is_real_output(run_cli, monkeypatch):
+    monkeypatch.delenv("SturmLAB_BUDGET", raising=False)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Example JSON:\n\n```sh\n$ sturmlab ", 1)[1].split("```", 1)[0]
+    command, shown = block.split("\n", 1)
+    rc, out, err = run_cli(command.split())
+    assert rc == 0
+    assert out == shown
 
 
 def test_congruence_builds_each_factor_set_once(run_cli, monkeypatch):

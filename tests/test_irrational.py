@@ -95,16 +95,15 @@ def test_frac_interval_tight_and_correct(named_slope):
 def test_refinement_stream_shrinks_and_nests(named_slope):
     name, alpha = named_slope
     x = MP_VALUES[name]
-    refiner = alpha.refinement()
     prev = None
-    for _ in range(10):
-        box = refiner.refine()
-        lo = mp.mpf(box.lo.numerator) / box.lo.denominator
-        hi = mp.mpf(box.hi.numerator) / box.hi.denominator
+    for level in range(2, 12):
+        box = alpha._bracket(level)
+        lo = mp.mpf(box[0].numerator) / box[0].denominator
+        hi = mp.mpf(box[1].numerator) / box[1].denominator
         assert lo < x < hi
         if prev is not None:
-            assert prev.lo <= box.lo and box.hi <= prev.hi
-            assert box.width < prev.width
+            assert prev[0] <= box[0] and box[1] <= prev[1]
+            assert box[1] - box[0] < prev[1] - prev[0]
         prev = box
 
 

@@ -11,50 +11,16 @@ from hypothesis import strategies as st
 
 import sturmlab as sl
 from sturmlab.matrep import identity_matrix, mat_mul
+from sturmlab.selftest import (
+    ADJ_43_S5,
+    AUX_52314,
+    MATRIX_52314,
+    MATRIX_INV_E_6,
+    MATRIX_PHI_5,
+)
 from conftest import make_slope
 
 SIGMA_52314 = sl.FracPermutation(5, (5, 2, 3, 1, 4))
-
-AUX_52314 = [
-    [1, 1, 1, 1, 0, 0],
-    [1, 1, 0, 0, 1, 1],
-    [0, 0, 1, 0, 0, 0],
-    [0, 0, 0, 1, 1, 0],
-    [1, 0, 0, 0, 0, 1],
-]
-
-MATRIX_52314 = (
-    (1, 1, 1, 1, 0),
-    (0, 0, -1, -1, 0),
-    (0, 0, 1, 0, 0),
-    (0, 0, 0, 1, 1),
-    (0, -1, -1, -1, -1),
-)
-
-MATRIX_INV_E_6 = (
-    (1, 1, 1, 0, 0, 0),
-    (0, 0, 0, 1, 1, 0),
-    (0, -1, -1, -1, -1, 0),
-    (0, 1, 1, 1, 0, 0),
-    (0, 0, 0, 0, 1, 1),
-    (0, 0, -1, -1, -1, -1),
-)
-
-ADJ_43_S5 = (
-    (1, 0, 0, 0, 0),
-    (0, 1, 0, 0, 0),
-    (0, 0, 1, 1, 0),
-    (0, 0, 0, -1, 0),
-    (0, 0, 0, 1, 1),
-)
-
-MATRIX_PHI_5 = (
-    (1, 1, 1, 1, 0),
-    (0, 0, -1, -1, 0),
-    (0, 0, 1, 1, 1),
-    (0, 0, 0, -1, -1),
-    (0, -1, -1, 0, 0),
-)
 
 # a size-10 permutation whose column matrix shows three "snakes"; its
 # diagonal sum is (first-column weight) - 1 + (number of fixed points)
@@ -114,7 +80,7 @@ def test_descent_sets():
 
 def test_aux_matrix_fixture():
     aux = sl.aux_matrix(SIGMA_52314)
-    assert aux.rows() == AUX_52314
+    assert aux.rows() == [list(r) for r in AUX_52314]
     # first-column weight 3, minus 1, plus the 2 fixed points of [5,2,3,1,4]
     assert aux.trace() == 4
 

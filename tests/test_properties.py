@@ -1,12 +1,17 @@
 """Property tests: production routes against their oracles on random slopes,
-and the matrix representation's laws on random permutations."""
+the matrix representation's laws on random permutations, and the CLI's JSON
+writer against json.dumps on random payloads."""
 
+import io
+import json
+import math
 from itertools import islice
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sturmlab as sl
+from sturmlab.cli import _JSON_BATCH, _write_json
 from sturmlab.matrep import mat_mul
 
 
@@ -33,6 +38,91 @@ def test_floor_stream_equals_kernel_on_periodic_cfs(a0, head, block, start, step
     stream, kernel = (sl.ExplicitCF([a0, *head, *block], repeat=block) for _ in range(2))
     got = list(islice(stream.floors(start, step), 300))
     assert got == [kernel.floor_multiple(start + i * step) for i in range(300)]
+
+
+def periodic_cfs():
+    """Periodic CFs with a pre-period, partial quotients up to 10^5."""
+    return st.builds(
+        lambda a0, head, block: sl.ExplicitCF([a0, *head, *block], repeat=block),
+        st.integers(-3, 3),
+        st.lists(st.integers(1, 10**5), max_size=3),
+        st.lists(st.integers(1, 10**5), min_size=1, max_size=4),
+    )
+
+
+def surds():
+    """(a + b*sqrt(d))/c; d = m^2 + r gives partial quotients near 2m <= 10^5."""
+    d = st.one_of(
+        st.integers(2, 10**9),
+        st.builds(lambda m, r: m * m + r, st.integers(2, 5 * 10**4), st.sampled_from((-1, 1, 2))),
+    ).filter(lambda d: math.isqrt(d) ** 2 != d)
+    nonzero = st.integers(-50, 50).filter(bool)
+    return st.builds(sl.QuadraticSurd, st.integers(-50, 50), nonzero, d, nonzero)
+
+
+slopes = st.one_of(periodic_cfs(), surds())
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(alpha=slopes)
+def test_b_stream_equals_direct_count_and_floor_identity(alpha):
+    got = [b for _, b in islice(sl.b_stream(alpha), 5000)]
+    assert got[:300] == [sl.b_alpha(alpha, k) for k in range(1, 301)]
+    # B(k) = 2*sum_{j<k} floor(j*alpha) + (k-1)*(1 - floor(k*alpha)), from
+    # {j*alpha} + {(k-j)*alpha} = {k*alpha} + [{j*alpha} > {k*alpha}]
+    floor_sum = 0
+    for k in range(1, 5001):
+        fk = alpha.floor_multiple(k)
+        assert got[k - 1] == 2 * floor_sum + (k - 1) * (1 - fk)
+        floor_sum += fk
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(alpha=slopes, m=st.integers(1, 300))
+def test_sign_formula_equals_sign_of_sorted_order(alpha, m):
+    assert sl.sign_formula(alpha, m) == sl.sign_direct(sl.pi_direct(alpha, m))
+
+
+def json_payloads():
+    """Nested dicts, lists and tuples of the scalars the CLI writes."""
+    long_ints = st.builds(
+        lambda start, length, step: tuple(range(start, start + length * step, step)),
+        st.integers(-(10**30), 10**30),
+        st.integers(_JSON_BATCH - 2, 3 * _JSON_BATCH + 2),
+        st.sampled_from((1, -7, 10**20)),
+    )
+    scalars = st.one_of(
+        st.text(),
+        st.text(st.characters(max_codepoint=0x7F)),
+        st.integers(),
+        st.integers(-(2**200), 2**200),
+        st.booleans(),
+        st.none(),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    int_lists = st.one_of(
+        long_ints,
+        long_ints.map(list),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=8),
+        st.lists(st.integers(-(2**70), 2**70), max_size=8).map(tuple),
+    )
+    return st.recursive(
+        st.one_of(scalars, int_lists),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5),
+            st.lists(inner, max_size=5).map(tuple),
+            st.dictionaries(st.text(), inner, max_size=5),
+        ),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(obj=json_payloads())
+def test_json_writer_equals_json_dumps_indent_2(obj):
+    out = io.StringIO()
+    _write_json(obj, out)
+    assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
 
 
 def random_perms(max_n, count):

@@ -6,21 +6,8 @@ import pytest
 from mpmath import mp
 
 import sturmlab as sl
+from sturmlab.selftest import FACTORS_INV_E_6, WORD_PREFIX_INV_E
 from conftest import MP_VALUES, make_slope, mp_floor
-
-# 21-letter prefix of the characteristic word of slope 1/e
-WORD_PREFIX_INV_E = [0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1]
-
-# the 7 length-6 factors of slope 1/e, in anti-lexicographic order
-FACTORS_INV_E_6 = (
-    (1, 0, 1, 0, 0, 1),
-    (1, 0, 0, 1, 0, 1),
-    (1, 0, 0, 1, 0, 0),
-    (0, 1, 0, 1, 0, 0),
-    (0, 1, 0, 0, 1, 0),
-    (0, 0, 1, 0, 1, 0),
-    (0, 0, 1, 0, 0, 1),
-)
 
 
 def test_characteristic_prefix_inv_e():
