@@ -50,6 +50,7 @@ from .matrep import (
     char_trace,
     descent_set,
     det_exact,
+    det_runs,
     factor_matrix,
     intertwiner,
     m_from_alpha,

@@ -84,9 +84,6 @@ class RationalInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, x) -> bool:
-        return self.lo < Fraction(x) < self.hi
-
 
 def _floor_surd(p: int, q: int, d: int, r: int) -> int:
     """Exact floor of (p + q*sqrt(d)) / r for integers with r != 0.

@@ -1,4 +1,4 @@
-"""Integer matrix representation of permutations via descent-set columns.
+"""Integer matrix representation of permutations, one run per row.
 
 A permutation sigma in S_n yields column vectors w_1, ..., w_{n+1} in {0,1}^n:
 w_1 has ones exactly on the descent set of sigma^{-1} (always including row 1)
@@ -7,6 +7,11 @@ e_{n+1} = 0.  Stacking the columns gives the n x (n+1) auxiliary matrix L;
 subtracting the last column from the first n gives the n x n matrix M with
 entries in {-1, 0, 1}.  The map sigma -> M is an isomorphism onto its image:
 M_tau @ M_sigma = M_{tau*sigma} with (tau*sigma)(i) = tau(sigma(i)).
+
+Row i of L moves only at steps sigma^{-1}(i) and sigma^{-1}(i-1), so each row
+of M is one run, v in {-1, 1} on columns l..r (:func:`_runs`).  Both matrices
+are built from the runs, and the simplex volume takes :func:`det_runs`, an
+O(n) spanning-tree determinant; :func:`det_exact` (Bareiss) is its oracle.
 """
 from __future__ import annotations
 
@@ -17,37 +22,43 @@ from typing import Sequence
 
 from .errors import InternalInvariantViolation, NotInImage, SingularParameters
 from .irrational import IrrationalSlope
-from .permtool import FracPermutation, pi_sos
+from .permtool import FracPermutation, pi_sos, sign_direct
 
 Matrix = list[list[int]]
 
 
 def descent_set(sigma: FracPermutation) -> frozenset[int]:
     """{1} together with every k whose predecessor k-1 appears later in sigma."""
-    inv = sigma.inverse()
-    return frozenset([1]) | {
-        k for k in range(2, sigma.n + 1) if inv(k - 1) > inv(k)
-    }
+    inv = sigma.inverse().one_line
+    return frozenset([1]) | {k for k, b, a in zip(range(2, sigma.n + 1), inv, inv[1:]) if b > a}
 
 
-def _w_columns(sigma: FracPermutation) -> list[tuple[int, ...]]:
-    n = sigma.n
-    col = [0] * n
-    for k in descent_set(sigma):
-        col[k - 1] = 1
-    cols = [tuple(col)]
-    for j in range(1, n + 1):
-        s = sigma(j)
-        col[s - 1] -= 1
-        if s < n:
-            col[s] += 1
-        cols.append(tuple(col))
-    for c in cols:
-        if any(x not in (0, 1) for x in c):
+def _runs(sigma: FracPermutation) -> list[tuple[int, int, int]]:
+    """(l, r, v) per row of M_sigma: v on columns l..r and 0 elsewhere.
+
+    Row 1 is (1, sigma^{-1}(1), 1); row i >= 2, with a = sigma^{-1}(i) and
+    b = sigma^{-1}(i-1), is (a+1, b, -1) if b > a else (b+1, a, 1).  L stays
+    in {0,1} iff each row starts at 1 (is a descent) iff it steps down first.
+    """
+    inv = sigma.inverse().one_line
+    descents = descent_set(sigma)
+    runs = []
+    for i, b, a in zip(range(1, sigma.n + 1), (sigma.n + 1,) + inv, inv):
+        if (i in descents) != (b > a):  # row 1 has b = n + 1: it always starts at 1
             raise InternalInvariantViolation(
-                f"auxiliary column {c} left {{0,1}} for sigma={sigma.one_line}"
+                f"auxiliary row {i} leaves {{0,1}} for sigma={sigma.one_line}"
             )
-    return cols
+        runs.append((1, a, 1) if i == 1 else (a + 1, b, -1) if b > a else (b + 1, a, 1))
+    return runs
+
+
+def _run_rows(sigma: FracPermutation, width: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of M_sigma (width n) or of L_sigma (width n + 1: add w_{n+1}, 1 where v = -1)."""
+    rows = []
+    for l, r, v in _runs(sigma):
+        c = int(v < 0 and width > sigma.n)
+        rows.append((c,) * (l - 1) + (c + v,) * (r - l + 1) + (c,) * (width - r))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -71,9 +82,6 @@ class FactorMatrix:
     n: int
     entries: tuple[tuple[int, ...], ...]  # row-major
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i][j - 1] for i in range(self.n))
-
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(self.n))
 
@@ -82,19 +90,11 @@ class FactorMatrix:
 
 
 def aux_matrix(sigma: FracPermutation) -> AuxMatrix:
-    return AuxMatrix(sigma.n, tuple(_w_columns(sigma)))
-
-
-def _minus_last(cols: Sequence[Sequence[int]]) -> FactorMatrix:
-    """The n x n matrix with columns cols[j] - cols[n], from n + 1 columns."""
-    *head, last = cols
-    return FactorMatrix(
-        len(last), tuple(tuple(c[i] - x for c in head) for i, x in enumerate(last))
-    )
+    return AuxMatrix(sigma.n, tuple(zip(*_run_rows(sigma, sigma.n + 1))))
 
 
 def factor_matrix(sigma: FracPermutation) -> FactorMatrix:
-    return _minus_last(_w_columns(sigma))
+    return FactorMatrix(sigma.n, _run_rows(sigma, sigma.n))
 
 
 def m_from_alpha(alpha: IrrationalSlope, n: int, via: str = "perm") -> FactorMatrix:
@@ -109,7 +109,8 @@ def m_from_alpha(alpha: IrrationalSlope, n: int, via: str = "perm") -> FactorMat
     if via == "factors":
         from .sturmian import factor_set  # local import keeps modules acyclic
 
-        return _minus_last(factor_set(alpha, n).factors)
+        *head, last = factor_set(alpha, n).factors
+        return FactorMatrix(n, tuple(tuple(c[i] - x for c in head) for i, x in enumerate(last)))
     raise ValueError(f"via must be 'perm' or 'factors', got {via!r}")
 
 
@@ -119,25 +120,14 @@ def reconstruct_sigma(m: FactorMatrix | Sequence[Sequence[int]]) -> FracPermutat
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise NotInImage("matrix is not square")
-    last = tuple(1 if any(x == -1 for x in row) else 0 for row in rows)
-    cols = [tuple(rows[i][j] + last[i] for i in range(n)) for j in range(n)]
-    cols.append(last)
-    for c in cols:
-        if any(x not in (0, 1) for x in c):
-            raise NotInImage(f"reassembled column {c} is not a 0/1 vector")
-    line = []
-    for j in range(n):
-        diff = [cols[j + 1][i] - cols[j][i] for i in range(n)]
-        minus = [i for i, x in enumerate(diff) if x == -1]
-        plus = [i for i, x in enumerate(diff) if x == 1]
-        if len(minus) == 1 and len(plus) == 1 and plus[0] == minus[0] + 1:
-            line.append(minus[0] + 1)
-        elif len(minus) == 1 and not plus and minus[0] == n - 1:
-            line.append(n)
-        else:
-            raise NotInImage(f"column step {j + 1} is not a unit difference")
+    inv = []  # the ends of row i's run give sigma^{-1}(i), as in _runs
+    for i, row in enumerate(rows, 1):
+        cols = [j for j, x in enumerate(row, 1) if x]
+        if not cols:
+            raise NotInImage(f"row {i} is zero")
+        inv.append(cols[0] - 1 if row[cols[0] - 1] < 0 else cols[-1])
     try:
-        sigma = FracPermutation(n, tuple(line))
+        sigma = FracPermutation(n, tuple(inv)).inverse()
     except ValueError as exc:
         raise NotInImage(str(exc)) from None
     if factor_matrix(sigma).entries != tuple(rows):
@@ -196,7 +186,13 @@ class IntertwinerQ:
         return (self.n * self.a + self.b) * self.b ** (self.n - 1)
 
     def inverse(self) -> list[list[Fraction]]:
-        return _invert(self.matrix())
+        """Q = b*(I - S) + a*e_1*(1,...,1), S the shift down, and (I - S)^-1
+        is lower triangular of ones; Sherman-Morrison gives the rest."""
+        n, a, b = self.n, self.a, self.b
+        if self.det() == 0:
+            raise SingularParameters("matrix is singular")
+        c = [a * (n - j) / (b * (b + n * a)) for j in range(n)]
+        return [[(1 / b if i >= j else 0) - c[j] for j in range(n)] for i in range(n)]
 
 
 def intertwiner(n: int, a, b) -> IntertwinerQ:
@@ -204,23 +200,6 @@ def intertwiner(n: int, a, b) -> IntertwinerQ:
     if q.det() == 0:
         raise SingularParameters(f"(a, b) = ({a}, {b}) gives det 0 at n = {n}")
     return q
-
-
-def _invert(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [list(row) + [Fraction(i == j) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise SingularParameters("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def char_trace(sigma: FracPermutation) -> tuple[int, int]:
@@ -271,6 +250,40 @@ def det_exact(m: FactorMatrix | Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1] if n else 1
 
 
+def det_runs(n: int, runs: Sequence[tuple[int, int, int]]) -> int:
+    """Determinant of the n x n matrix whose row i is v on columns l..r and 0
+    elsewhere, for runs[i] = (l, r, v) with 1 <= l, r <= n, in O(n) steps.
+
+    Column j minus column j - 1, for every j > 1, turns row i into
+    v*(e_l - e_{r+1}) with e_{n+1} = 0: the incidence matrix of the edges
+    (l, r+1) on nodes 1..n+1 with node n+1 grounded, singular unless they form
+    a spanning tree.  Walked from the ground, each tree edge has a child node;
+    in the order of row -> child the matrix is triangular, so the determinant
+    is the sign of that map times each row's entry at its child.
+    """
+    if len(runs) != n:
+        raise ValueError(f"need {n} runs, got {len(runs)}")
+    edges = [[] for _ in range(n + 2)]
+    for i, (l, r, v) in enumerate(runs):
+        if l > r:
+            return 0  # an empty run is a zero row
+        edges[l].append(i)
+        edges[r + 1].append(i)
+    child, det, walk = [0] * n, 1, [n + 1]
+    for u in walk:  # grows as nodes are reached
+        for i in edges[u]:
+            if not child[i]:  # not the edge u was reached by
+                l, r, v = runs[i]
+                child[i] = w = l + r + 1 - u
+                det *= v if w == l else -v
+                walk.append(w)
+    try:  # an edge never reached, or a node reached twice, breaks the bijection
+        tree = FracPermutation(n, tuple(child))
+    except ValueError:
+        return 0
+    return det * sign_direct(tree)
+
+
 def simplex_volume(alpha: IrrationalSlope, n: int) -> Fraction:
-    """Volume of the factor simplex at size n: |det M| / n!."""
-    return Fraction(abs(det_exact(m_from_alpha(alpha, n))), math.factorial(n))
+    """Volume of the factor simplex at size n: |det M| / n!, from M's runs."""
+    return Fraction(abs(det_runs(n, _runs(pi_sos(alpha, n)))), math.factorial(n))

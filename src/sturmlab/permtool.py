@@ -338,18 +338,18 @@ def order_prediction(
     """Order prediction when the newest point is extremal, else None."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if pi is None:
-        pi = pi_sos(alpha, n)
-    if pi(n) == n:
-        t = multiplicative_order(pi(1), n)
+    first, last = extreme_positions(alpha, n) if pi is None else (pi(1), pi(n))
+    if last == n:
+        t = multiplicative_order(first, n)
         return OrderPrediction("max", t, t)
-    if pi(1) == n:
-        pn = pi(n)
-        prev = multiplicative_order(-pn % n, n)
+    if first == n:
+        prev = multiplicative_order(-last % n, n)
         g = next(
-            g for g in range(1, pn + 2) if (pn + 1) % g == 0 and math.gcd(n, (pn + 1) // g) == 1
+            g
+            for g in range(1, last + 2)
+            if (last + 1) % g == 0 and math.gcd(n, (last + 1) // g) == 1
         )
-        return OrderPrediction("min", prev, multiplicative_order(-pn % (g * n), g * n), g)
+        return OrderPrediction("min", prev, multiplicative_order(-last % (g * n), g * n), g)
     return None
 
 

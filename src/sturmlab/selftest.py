@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from . import farey, matrep, permtool, sturmian
-from .irrational import EulerE, EulerEInv, phi
+from .irrational import EulerE, EulerEInv, parse_slope, phi
 from .permtool import FracPermutation
 
 # 21-letter prefix of the characteristic word of slope 1/e
@@ -160,6 +160,10 @@ def run(seed: int = 0, report=print) -> int:
             break
     check("integral-cells-6", ok, detail)
     check("volume-1/e-6", matrep.simplex_volume(inv_e, 6) == Fraction(1, 720))
+    slopes = [parse_slope(x) for x in ("1/e", "phi", "e", "cf:[0;2,32003,...]")]
+    sos = [permtool.pi_sos(x, n) for x in slopes for n in range(1, 41)]
+    dets = [matrep.det_runs(s.n, matrep._runs(s)) for s in sos]
+    check("volume-runs", dets == [matrep.det_exact(matrep.factor_matrix(s)) for s in sos])
     got = matrep.det_exact(matrep.m_from_alpha(inv_e, 120))
     want = permtool.sign_direct(permtool.pi_sos(inv_e, 120))
     check("det-sign-1/e-120", got == want, f"got {got}, want {want}")

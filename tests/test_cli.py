@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -226,6 +228,50 @@ def test_output_matches_snapshot(run_cli, slope, argv, snapshot):
     rc, out, err = run_cli(argv[:1] + ["--alpha", SNAPSHOT_SLOPES[slope]] + argv[1:])
     assert rc == 0, err
     assert out.encode() == (SNAPSHOTS / snapshot.format(slope)).read_bytes()
+
+
+@pytest.mark.parametrize("slope", sorted(SNAPSHOT_SLOPES))
+@pytest.mark.parametrize(
+    "argv, snapshot",
+    [
+        (["factors", "--n", "40"], "factors_{}_40.csv"),
+        (["factors", "--n", "40", "--format", "json"], "factors_{}_40.json"),
+        (["congruence", "--n", "40"], "congruence_{}_40.csv"),
+        (["congruence", "--n", "40", "--format", "json"], "congruence_{}_40.json"),
+    ],
+)
+def test_factor_set_commands_match_snapshot(run_cli, slope, argv, snapshot):
+    # written by the window scan of the characteristic word, before any
+    # other factor-set route existed; the congruence partner is 1 - phi
+    x = SNAPSHOT_SLOPES[slope]
+    given = ["--alpha", x] if argv[0] == "factors" else ["--a", x, "--b", "(3-1*sqrt(5))/2"]
+    rc, out, err = run_cli(argv[:1] + given + argv[1:])
+    assert rc == 0, err
+    assert out.encode() == (SNAPSHOTS / snapshot.format(slope)).read_bytes()
+
+
+def test_volume_past_the_int_string_limit(run_cli):
+    # 2000! has 5736 digits, more than the default sys.int_max_str_digits
+    rc, csv_out, err = run_cli(["volume", "--alpha", "phi", "--n", "2000"])
+    assert rc == 0, err
+    rc, json_out, err = run_cli(["volume", "--alpha", "phi", "--n", "2000", "--format", "json"])
+    assert rc == 0, err
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"1/{math.factorial(2000)}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert csv_out == f"n,volume\n2000,{want}\n"
+    assert json.loads(json_out)["volume"] == want
+
+
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_word_rejects_sizes_below_one(run_cli, n):
+    rc, out, err = run_cli(["word", "--alpha", "phi", "--n", n])
+    assert rc == 1
+    assert out == ""
+    assert err == "error[InvalidArgument]: n must be >= 1\n"
 
 
 @pytest.mark.parametrize(

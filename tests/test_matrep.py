@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sturmlab as sl
-from sturmlab.matrep import identity_matrix, mat_mul
+from sturmlab import matrep
+from sturmlab.matrep import _runs, det_runs, identity_matrix, mat_mul
 from sturmlab.selftest import (
     ADJ_43_S5,
     AUX_52314,
@@ -70,6 +71,22 @@ def det_fraction_gauss(rows):
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     assert det.denominator == 1
     return det.numerator
+
+
+def column_walk(sigma):
+    """Columns w_1 .. w_{n+1} of L_sigma by the defining walk: w_1 is the
+    indicator of the descent set, w_{j+1} = w_j + e_{sigma(j)+1} - e_{sigma(j)}
+    with e_{n+1} = 0."""
+    n = sigma.n
+    col = [1 if i + 1 in sl.descent_set(sigma) else 0 for i in range(n)]
+    cols = [tuple(col)]
+    for j in range(1, n + 1):
+        s = sigma(j)
+        col[s - 1] -= 1
+        if s < n:
+            col[s] += 1
+        cols.append(tuple(col))
+    return cols
 
 
 def test_descent_sets():
@@ -264,6 +281,18 @@ def test_reconstruct_rejects_tampered_matrix():
         sl.reconstruct_sigma([[0] * 5 for _ in range(5)])
 
 
+def test_reconstruct_accepts_exactly_the_factor_matrices_of_s3():
+    images = {sl.factor_matrix(sigma).entries: sigma.one_line for sigma in all_perms(3)}
+    accepted = {}
+    for flat in itertools.product((-1, 0, 1), repeat=9):
+        rows = (flat[0:3], flat[3:6], flat[6:9])
+        try:
+            accepted[rows] = sl.reconstruct_sigma(rows).one_line
+        except sl.NotInImage:
+            pass
+    assert accepted == images
+
+
 def test_intertwiner_conjugates_to_permutation_matrices():
     for a, b in ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)), (Fraction(2), Fraction(-1))):
         q = sl.intertwiner(4, a, b)
@@ -288,6 +317,15 @@ def test_intertwiner_inverse_is_inverse():
     assert prod == identity_matrix(5)
 
 
+@pytest.mark.parametrize(
+    "n, a, b", [(1, 3, 1), (6, Fraction(-1, 7), Fraction(5, 3)), (4, 0, -1), (7, 2, -5)]
+)
+def test_intertwiner_inverse_on_both_sides(n, a, b):
+    q = sl.intertwiner(n, a, b)
+    assert mat_mul(q.matrix(), q.inverse()) == identity_matrix(n)
+    assert mat_mul(q.inverse(), q.matrix()) == identity_matrix(n)
+
+
 def test_intertwiner_rejects_singular_parameters():
     with pytest.raises(sl.SingularParameters):
         sl.intertwiner(3, Fraction(1), Fraction(0))
@@ -307,3 +345,71 @@ def test_factor_matrix_entries_bounded():
         sigma = random_perm(rng, 8)
         assert all(x in (-1, 0, 1) for row in sl.factor_matrix(sigma).entries for x in row)
         assert all(x in (0, 1) for row in sl.aux_matrix(sigma).columns for x in row)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(line=st.integers(1, 150).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_run_matrices_equal_the_column_walk(line):
+    sigma = sl.FracPermutation(len(line), tuple(line))
+    cols = column_walk(sigma)
+    assert sl.aux_matrix(sigma).columns == tuple(cols)
+    last = cols[-1]
+    want = tuple(tuple(c[i] - x for c in cols[:-1]) for i, x in enumerate(last))
+    assert sl.factor_matrix(sigma).entries == want
+
+
+@st.composite
+def run_matrices(draw):
+    """(n, runs) for n <= 8: each row is v on columns l..r, v in -3..3.
+
+    About half of them are singular: repeated or zero rows, and edge sets
+    (l, r + 1) that close a cycle and leave a node unreached.
+    """
+    n = draw(st.integers(1, 8))
+    runs = []
+    for _ in range(n):
+        l = draw(st.integers(1, n))
+        runs.append((l, draw(st.integers(l, n)), draw(st.integers(-3, 3))))
+    return n, runs
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(case=run_matrices())
+def test_det_runs_equals_det_exact(case):
+    n, runs = case
+    rows = [[v if l <= j <= r else 0 for j in range(1, n + 1)] for l, r, v in runs]
+    assert det_runs(n, runs) == sl.det_exact(rows)
+
+
+def test_det_runs_on_every_unit_run_matrix_of_size_3():
+    # all 6^3 matrices of runs with v = 1, singular ones included
+    spans = [(l, r, 1) for l in range(1, 4) for r in range(l, 4)]
+    dets = []
+    for runs in itertools.product(spans, repeat=3):
+        rows = [[1 if l <= j <= r else 0 for j in range(1, 4)] for l, r, _ in runs]
+        dets.append(det_runs(3, runs))
+        assert dets[-1] == sl.det_exact(rows)
+    assert set(dets) == {-1, 0, 1}
+
+
+def test_det_runs_rejects_a_wrong_row_count():
+    with pytest.raises(ValueError):
+        det_runs(3, [(1, 1, 1)])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(line=st.integers(1, 300).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_det_runs_of_factor_matrix_is_sign(line):
+    sigma = sl.FracPermutation(len(line), tuple(line))
+    assert det_runs(sigma.n, _runs(sigma)) == sl.sign_direct(sigma)
+
+
+@pytest.mark.parametrize("row", [1, 2, 4])
+def test_corrupted_descent_set_raises(monkeypatch, row):
+    # one row's descent indicator flipped, so one row of L would leave {0,1}
+    real = matrep.descent_set
+    monkeypatch.setattr(matrep, "descent_set", lambda s: real(s) ^ {row})
+    sigma = sl.FracPermutation(5, (5, 2, 3, 1, 4))
+    for build in (sl.factor_matrix, sl.aux_matrix, lambda s: sl.simplex_volume(sl.phi(), 5)):
+        with pytest.raises(sl.InternalInvariantViolation):
+            build(sigma)

@@ -259,6 +259,7 @@ def test_order_prediction_matches_direct(named_slope):
     for n in range(2, 80):
         pi = sl.pi_direct(alpha, n)
         pred = sl.order_prediction(alpha, n, pi=pi)
+        assert sl.order_prediction(alpha, n) == pred  # from the extremes alone
         if pred is None:
             assert pi(n) != n and pi(1) != n
             continue

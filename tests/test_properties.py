@@ -100,11 +100,17 @@ def json_payloads():
         st.none(),
         st.floats(allow_nan=False, allow_infinity=False),
     )
+    int_tuples = st.lists(st.integers(-(2**70), 2**70), max_size=6).map(tuple)
     int_lists = st.one_of(
         long_ints,
         long_ints.map(list),
         st.lists(st.one_of(st.integers(), st.booleans()), max_size=8),
         st.lists(st.integers(-(2**70), 2**70), max_size=8).map(tuple),
+        # lists of int tuples, such as cycles: short and long, empty tuples,
+        # and more tuples than one slice holds
+        st.lists(int_tuples, max_size=8),
+        st.lists(st.one_of(int_tuples, long_ints), max_size=3),
+        st.integers(0, 3 * _JSON_BATCH).map(lambda k: [tuple(range(i % 3 + 1)) for i in range(k)]),
     )
     return st.recursive(
         st.one_of(scalars, int_lists),
@@ -122,7 +128,11 @@ def json_payloads():
 def test_json_writer_equals_json_dumps_indent_2(obj):
     out = io.StringIO()
     _write_json(obj, out)
-    assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
+    # compared as lines: pytest explains a failed list comparison by its
+    # first differing item, while a string diff of thousands of lines, made
+    # for every failing example hypothesis tries, took minutes
+    want = json.dumps(obj, indent=2) + "\n"
+    assert out.getvalue().splitlines(True) == want.splitlines(True)
 
 
 def random_perms(max_n, count):
