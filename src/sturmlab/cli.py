@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from decimal import Decimal
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import farey, matrep, permtool, sturmian
@@ -54,11 +53,10 @@ def _write_json(obj, out):
     json.encoder.encode_basestring_ascii and other scalars through
     json.dumps, so escaping and float repr are json's own.  A list or tuple
     whose items are all exactly int (bools excluded) is joined at C speed in
-    slices of _JSON_BATCH numbers, and one of short nonempty int tuples (a
-    permutation's cycles) in slices of at most _JSON_BATCH lines, each slice
-    written out at once; everything else is appended part by part and written
-    every _JSON_BATCH parts.  Only dicts with str keys, lists, tuples and JSON
-    scalars are accepted: any other type, or a non-str key, raises TypeError.
+    slices of _JSON_BATCH numbers, each written out at once; everything else
+    is appended part by part and written every _JSON_BATCH parts.  Only
+    dicts with str keys, lists, tuples and JSON scalars are accepted: any
+    other type, or a non-str key, raises TypeError.
     """
     parts = []
     _put_json(obj, "", parts, out)
@@ -77,25 +75,9 @@ def _put_json(obj, pad, parts, out):
         inner = pad + "  "
         sep = ",\n" + inner
         lead = "[\n" + inner
-        kinds = set(map(type, obj))
-        step = 0
-        if kinds == {int}:
-            step, text = _JSON_BATCH, int.__repr__
-        elif (
-            kinds == {tuple}
-            and 0 < min(map(len, obj)) <= max(map(len, obj)) <= _JSON_BATCH - 2
-            and set(map(type, chain.from_iterable(obj))) == {int}
-        ):
-            # int tuples such as a permutation's cycles; k numbers take k + 2 lines
-            deep = ",\n" + inner + "  "
-            step = _JSON_BATCH // (max(map(len, obj)) + 2)
-
-            def text(t):
-                return f"[{deep[1:]}{deep.join(map(int.__repr__, t))}\n{inner}]"
-
-        if step:  # slices of at most _JSON_BATCH lines, each written at once
-            for i in range(0, len(obj), step):
-                parts.append(lead + sep.join(map(text, obj[i : i + step])))
+        if set(map(type, obj)) == {int}:
+            for i in range(0, len(obj), _JSON_BATCH):
+                parts.append(lead + sep.join(map(int.__repr__, obj[i : i + _JSON_BATCH])))
                 out.write("".join(parts))
                 parts.clear()
                 lead = sep

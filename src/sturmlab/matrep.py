@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InternalInvariantViolation, NotInImage, SingularParameters
+from .errors import NotInImage, SingularParameters
 from .irrational import IrrationalSlope
 from .permtool import FracPermutation, pi_sos, sign_direct
 
@@ -37,19 +37,15 @@ def _runs(sigma: FracPermutation) -> list[tuple[int, int, int]]:
     """(l, r, v) per row of M_sigma: v on columns l..r and 0 elsewhere.
 
     Row 1 is (1, sigma^{-1}(1), 1); row i >= 2, with a = sigma^{-1}(i) and
-    b = sigma^{-1}(i-1), is (a+1, b, -1) if b > a else (b+1, a, 1).  L stays
-    in {0,1} iff each row starts at 1 (is a descent) iff it steps down first.
+    b = sigma^{-1}(i-1), is (a+1, b, -1) if b > a else (b+1, a, 1).  Row i
+    of L starts at 1 exactly when i is in :func:`descent_set`, and then steps
+    down first, so L stays in {0,1}.
     """
     inv = sigma.inverse().one_line
-    descents = descent_set(sigma)
-    runs = []
-    for i, b, a in zip(range(1, sigma.n + 1), (sigma.n + 1,) + inv, inv):
-        if (i in descents) != (b > a):  # row 1 has b = n + 1: it always starts at 1
-            raise InternalInvariantViolation(
-                f"auxiliary row {i} leaves {{0,1}} for sigma={sigma.one_line}"
-            )
-        runs.append((1, a, 1) if i == 1 else (a + 1, b, -1) if b > a else (b + 1, a, 1))
-    return runs
+    return [
+        (1, a, 1) if i == 1 else (a + 1, b, -1) if b > a else (b + 1, a, 1)
+        for i, b, a in zip(range(1, sigma.n + 1), (0,) + inv, inv)
+    ]
 
 
 def _run_rows(sigma: FracPermutation, width: int) -> tuple[tuple[int, ...], ...]:
@@ -252,7 +248,8 @@ def det_exact(m: FactorMatrix | Sequence[Sequence[int]]) -> int:
 
 def det_runs(n: int, runs: Sequence[tuple[int, int, int]]) -> int:
     """Determinant of the n x n matrix whose row i is v on columns l..r and 0
-    elsewhere, for runs[i] = (l, r, v) with 1 <= l, r <= n, in O(n) steps.
+    elsewhere, for runs[i] = (l, r, v), in O(n) steps.  Every run needs
+    1 <= l and r <= n; one with l > r is a zero row.
 
     Column j minus column j - 1, for every j > 1, turns row i into
     v*(e_l - e_{r+1}) with e_{n+1} = 0: the incidence matrix of the edges
@@ -263,6 +260,9 @@ def det_runs(n: int, runs: Sequence[tuple[int, int, int]]) -> int:
     """
     if len(runs) != n:
         raise ValueError(f"need {n} runs, got {len(runs)}")
+    for l, r, v in runs:
+        if l < 1 or r > n:
+            raise ValueError(f"run {(l, r, v)} leaves columns 1..{n}")
     edges = [[] for _ in range(n + 2)]
     for i, (l, r, v) in enumerate(runs):
         if l > r:

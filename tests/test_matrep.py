@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sturmlab as sl
-from sturmlab import matrep
 from sturmlab.matrep import _runs, det_runs, identity_matrix, mat_mul
 from sturmlab.selftest import (
     ADJ_43_S5,
@@ -397,6 +396,15 @@ def test_det_runs_rejects_a_wrong_row_count():
         det_runs(3, [(1, 1, 1)])
 
 
+@pytest.mark.parametrize(
+    "bad", [(0, 2, 1), (-1, 2, 1), (2, 4, 1), (0, -1, 1)], ids=["l=0", "l=-1", "r>n", "empty l=0"]
+)
+def test_det_runs_rejects_runs_outside_the_columns(bad):
+    # a zero row (2, 1) before the bad run must not hide it
+    with pytest.raises(ValueError):
+        det_runs(3, [(2, 1, 1), bad, (1, 3, 1)])
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(line=st.integers(1, 300).flatmap(lambda n: st.permutations(range(1, n + 1))))
 def test_det_runs_of_factor_matrix_is_sign(line):
@@ -404,12 +412,11 @@ def test_det_runs_of_factor_matrix_is_sign(line):
     assert det_runs(sigma.n, _runs(sigma)) == sl.sign_direct(sigma)
 
 
-@pytest.mark.parametrize("row", [1, 2, 4])
-def test_corrupted_descent_set_raises(monkeypatch, row):
-    # one row's descent indicator flipped, so one row of L would leave {0,1}
-    real = matrep.descent_set
-    monkeypatch.setattr(matrep, "descent_set", lambda s: real(s) ^ {row})
-    sigma = sl.FracPermutation(5, (5, 2, 3, 1, 4))
-    for build in (sl.factor_matrix, sl.aux_matrix, lambda s: sl.simplex_volume(sl.phi(), 5)):
-        with pytest.raises(sl.InternalInvariantViolation):
-            build(sigma)
+@settings(max_examples=100, deadline=None, database=None)
+@given(line=st.integers(1, 150).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_runs_start_at_one_exactly_on_descents(line):
+    sigma = sl.FracPermutation(len(line), tuple(line))
+    runs = _runs(sigma)
+    assert all(1 <= l <= r <= sigma.n and v in (-1, 1) for l, r, v in runs)
+    # row i of L starts at 1 iff it is row 1 or steps down first (v = -1)
+    assert {i for i, (_, _, v) in enumerate(runs, 1) if i == 1 or v < 0} == sl.descent_set(sigma)

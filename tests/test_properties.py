@@ -107,7 +107,7 @@ def json_payloads():
         st.lists(st.one_of(st.integers(), st.booleans()), max_size=8),
         st.lists(st.integers(-(2**70), 2**70), max_size=8).map(tuple),
         # lists of int tuples, such as cycles: short and long, empty tuples,
-        # and more tuples than one slice holds
+        # and more tuples than one write holds
         st.lists(int_tuples, max_size=8),
         st.lists(st.one_of(int_tuples, long_ints), max_size=3),
         st.integers(0, 3 * _JSON_BATCH).map(lambda k: [tuple(range(i % 3 + 1)) for i in range(k)]),
