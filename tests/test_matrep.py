@@ -391,18 +391,16 @@ def test_det_runs_on_every_unit_run_matrix_of_size_3():
     assert set(dets) == {-1, 0, 1}
 
 
-def test_det_runs_rejects_a_wrong_row_count():
-    with pytest.raises(ValueError):
-        det_runs(3, [(1, 1, 1)])
-
-
 @pytest.mark.parametrize(
-    "bad", [(0, 2, 1), (-1, 2, 1), (2, 4, 1), (0, -1, 1)], ids=["l=0", "l=-1", "r>n", "empty l=0"]
+    "runs",
+    # a wrong row count, then runs outside columns 1..3, each after a zero row
+    # (2, 1) that must not hide it
+    [[(1, 1, 1)]] + [[(2, 1, 1), bad, (1, 3, 1)] for bad in [(0, 2, 1), (-1, 2, 1), (2, 4, 1), (0, -1, 1)]],
+    ids=["count", "l=0", "l=-1", "r>n", "empty l=0"],
 )
-def test_det_runs_rejects_runs_outside_the_columns(bad):
-    # a zero row (2, 1) before the bad run must not hide it
+def test_det_runs_rejects_bad_runs(runs):
     with pytest.raises(ValueError):
-        det_runs(3, [(2, 1, 1), bad, (1, 3, 1)])
+        det_runs(3, runs)
 
 
 @settings(max_examples=100, deadline=None, database=None)
