@@ -38,7 +38,6 @@ from .irrational import (
     ExplicitCF,
     IrrationalSlope,
     QuadraticSurd,
-    RationalInterval,
     parse_slope,
     phi,
 )

@@ -116,8 +116,16 @@ def _emit_rows(args, out, header, rows, json_obj):
             out.write("\t".join(str(x) for x in row) + "\n")
     else:
         w = csv.writer(out, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        for row in (header, *rows):
+            # joined in C unless a field is None, has a comma, quote or line
+            # end, or is the row's only field and empty: csv.writer quotes those
+            text = None if None in row else ",".join(map(str, row))
+            if text and text.count(",") + 1 == len(row) and not (
+                '"' in text or "\r" in text or "\n" in text
+            ):
+                out.write(text + "\n")
+            else:
+                w.writerow(row)
 
 
 def _run_to_file(args) -> int:
@@ -220,8 +228,8 @@ def cmd_table(args, out):
     if not 1 <= args.start <= args.end:
         raise SturmlabError(f"bad range {args.start}..{args.end}")
     rows = []
-    for n in range(args.start, args.end + 1):
-        sign, order = permtool.sos_sign_order(n, *permtool.extreme_positions(alpha, n))
+    for n, first, last in permtool.range_extremes(alpha, args.start, args.end):
+        sign, order = permtool.sos_sign_order(n, first, last)
         rows.append([n, sign, str(order)])
     _emit_rows(
         args,

@@ -69,22 +69,6 @@ class Convergent:
         return Fraction(self.p, self.q)
 
 
-@dataclass(frozen=True)
-class RationalInterval:
-    """Open interval with rational endpoints, lo < hi."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-
 def _floor_surd(p: int, q: int, d: int, r: int) -> int:
     """Exact floor of (p + q*sqrt(d)) / r for integers with r != 0.
 
@@ -355,22 +339,6 @@ class IrrationalSlope:
         t = self.floor_reduced(i) - self.floor_reduced(j)
         f1 = self.floor_multiple(1)
         return self.compare_multiple(i - j, t + (i - j) * f1)
-
-    def frac_interval(self, k: int, eps) -> RationalInterval:
-        """Rational bracket of {k*value} with width below eps."""
-        eps = Fraction(eps)
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        m = self.floor_multiple(k)
-        for level in range(self._m, self.budget + 2):
-            lo, hi = self._bracket(level)
-            klo, khi = k * lo - m, k * hi - m
-            if 0 <= klo and khi <= 1 and khi - klo < eps:
-                return RationalInterval(klo, khi)
-        raise RefinementBudgetExceeded(
-            f"interval for fractional part of {k}*alpha not below {eps} "
-            f"within convergent index budget + 1 = {self.budget + 1}"
-        )
 
     def expression(self) -> str:
         """Slope expression that parses back to an equal slope."""

@@ -15,9 +15,8 @@ comparison sort, is kept as the independent route the tests check it against.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 from itertools import islice
 from typing import Iterator, Sequence
 
@@ -33,10 +32,31 @@ class FracPermutation:
     one_line: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.one_line) != self.n or not all(
-            map(operator.eq, sorted(self.one_line), range(1, self.n + 1))
+        # One cycle walk proves the bijection and finds the cycles that sign,
+        # order and the CLI read: with every entry exactly an int in 1..n, a
+        # walk back at its start before any seen index closes a new cycle.
+        n, line = self.n, self.one_line
+        if len(line) == n and (
+            not n or set(map(type, line)) == {int} and min(line) >= 1 and max(line) <= n
         ):
-            raise ValueError(f"not a permutation of 1..{self.n}: {self.one_line}")
+            line = (0, *line)  # line[i] is the image of i
+            seen, cycles = bytearray(n + 1), []
+            start = seen.find(0, 1)
+            while start > 0:
+                seen[start] = 1
+                cyc, j = [start], line[start]
+                while not seen[j]:
+                    seen[j] = 1
+                    cyc.append(j)
+                    j = line[j]
+                if j != start:
+                    break
+                cycles.append(tuple(cyc))
+                start = seen.find(0, start)
+            else:
+                object.__setattr__(self, "_cycles", tuple(cycles))
+                return
+        raise ValueError(f"not a permutation of 1..{n}: {self.one_line}")
 
     def __call__(self, i: int) -> int:
         if not 1 <= i <= self.n:
@@ -76,25 +96,6 @@ class FracPermutation:
         if m < self.n:
             raise ValueError("cannot embed into a smaller symmetric group")
         return FracPermutation(m, self.one_line + tuple(range(self.n + 1, m + 1)))
-
-    @cached_property
-    def _cycles(self) -> tuple[tuple[int, ...], ...]:
-        # walked once per permutation; sign, order and the CLI all read it
-        line = self.one_line
-        seen = bytearray(self.n + 1)
-        out = []
-        for start in range(1, self.n + 1):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = 1
-            j = line[start - 1]
-            while j != start:
-                cyc.append(j)
-                seen[j] = 1
-                j = line[j - 1]
-            out.append(tuple(cyc))
-        return tuple(out)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its least element, sorted by it."""
@@ -153,6 +154,29 @@ def extreme_positions(alpha: IrrationalSlope, n: int) -> tuple[int, int]:
         elif alpha.frac_compare(k, last) > 0:
             last = k
     return first, last
+
+
+def range_extremes(alpha: IrrationalSlope, start: int, end: int) -> list[tuple[int, int, int]]:
+    """(n, *extreme_positions(alpha, n)) for n = start..end.
+
+    The extremes move only when the newest point {n*alpha} is one of them,
+    which makes n a semiconvergent denominator q_{j-1} + t*q_j with
+    1 <= t <= a_{j+1}; so :func:`extreme_positions` runs only at start and
+    at those n, and each other n repeats the extremes of n - 1.
+    """
+    if not 1 <= start <= end:
+        raise ValueError(f"bad range {start}..{end}")
+    rows = []
+    n, ext = start, extreme_positions(alpha, start)
+    q_prev, q, j = 0, 1, 0  # q_{j-1}, q_j
+    while q_prev + q <= end:
+        a = alpha.partial_quotient(j + 1)
+        for d in range(q_prev + max(1, (n - q_prev) // q + 1) * q, min(q_prev + a * q, end) + 1, q):
+            rows += [(k, *ext) for k in range(n, d)]
+            n, ext = d, extreme_positions(alpha, d)
+        q_prev, q, j = q, q_prev + a * q, j + 1
+    rows += [(k, *ext) for k in range(n, end + 1)]
+    return rows
 
 
 def sos_line(n: int, first: int, last: int) -> list[int]:

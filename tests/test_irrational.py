@@ -78,20 +78,6 @@ def test_compare_multiple_brackets_integer_thresholds(named_slope):
         assert alpha.compare_multiple(k, t + 1) == -1  # k*x < floor + 1
 
 
-def test_frac_interval_tight_and_correct(named_slope):
-    name, alpha = named_slope
-    x = MP_VALUES[name]
-    eps = Fraction(1, 10**30)
-    for k in (1, 3, 10, 137):
-        box = alpha.frac_interval(k, eps)
-        assert box.width < eps
-        assert Fraction(0) <= box.lo and box.hi <= Fraction(1)
-        target = mp.frac(k * x)
-        lo = mp.mpf(box.lo.numerator) / box.lo.denominator
-        hi = mp.mpf(box.hi.numerator) / box.hi.denominator
-        assert lo < target < hi
-
-
 def test_refinement_stream_shrinks_and_nests(named_slope):
     name, alpha = named_slope
     x = MP_VALUES[name]
@@ -356,7 +342,7 @@ def test_explicit_cf_tail_rule():
 def test_explicit_cf_exhausted_tail():
     alpha = sl.ExplicitCF([0, 2], tail=lambda k: 1 if k < 6 else None)
     with pytest.raises(sl.CoefficientsExhausted):
-        alpha.frac_interval(1, Fraction(1, 10**40))
+        alpha.partial_quotient(7)
 
 
 def test_explicit_cf_requires_infinite_description():

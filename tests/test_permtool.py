@@ -13,12 +13,24 @@ from conftest import MP_VALUES, make_slope, mp_frac
 
 
 def test_one_line_validation():
-    with pytest.raises(ValueError):
-        sl.FracPermutation(3, (1, 1, 2))
-    with pytest.raises(ValueError):
-        sl.FracPermutation(3, (1, 2))
-    with pytest.raises(ValueError):
-        sl.FracPermutation(3, (0, 1, 2))
+    bad = [
+        (3, (1, 1, 2)),  # a duplicate
+        (3, (2, 3, 2)),  # a duplicate closing no cycle at its start
+        (3, (1, 2)),  # too short
+        (2, (1, 2, 3)),  # too long
+        (3, (0, 1, 2)),
+        (3, (1, 2, 4)),  # n + 1
+        (3, (-2, 1, 2)),
+        (2, (1.0, 2)),
+        (2, (2, 1.0)),
+        (2, (True, 2)),
+        (2, (2, True)),
+        (1, ("1",)),
+    ]
+    for n, line in bad:
+        with pytest.raises(ValueError):
+            sl.FracPermutation(n, line)
+    assert sl.FracPermutation(0, ()).cycles() == []
 
 
 def test_identity_and_call():

@@ -1,7 +1,10 @@
 """Property tests: production routes against their oracles on random slopes,
 the matrix representation's laws on random permutations, and the CLI's JSON
-writer against json.dumps on random payloads."""
+writer against json.dumps and its CSV rows against csv.writer on random
+payloads."""
 
+import argparse
+import csv
 import io
 import json
 import math
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sturmlab as sl
-from sturmlab.cli import _JSON_BATCH, _write_json
+from sturmlab.cli import _JSON_BATCH, _emit_rows, _write_json
 from sturmlab.matrep import mat_mul
 
 
@@ -155,3 +158,55 @@ def test_matrix_law_on_random_sn(lines):
 def test_reconstruct_roundtrip_on_random_sn(lines):
     sigma = sl.FracPermutation(len(lines[0]), tuple(lines[0]))
     assert sl.reconstruct_sigma(sl.factor_matrix(sigma)).one_line == sigma.one_line
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(alpha=slopes, ends=st.lists(st.integers(1, 3000), min_size=2, max_size=2).map(sorted))
+def test_range_extremes_equal_extreme_positions_at_every_n(alpha, ends):
+    start, end = ends
+    want = [(n, *sl.permtool.extreme_positions(alpha, n)) for n in range(start, end + 1)]
+    assert sl.permtool.range_extremes(alpha, start, end) == want
+
+
+def csv_fields():
+    """Fields as csv.writer sees them: ints, None, and strs that need quoting or not."""
+    return st.one_of(
+        st.integers(-(10**20), 10**20),
+        st.none(),
+        st.just(""),
+        st.text(st.sampled_from('ab1 ,"\r\n'), max_size=6),
+        st.text(max_size=4),
+    )
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(header=st.lists(csv_fields(), max_size=4), rows=st.lists(st.lists(csv_fields(), max_size=5), max_size=6))
+def test_csv_rows_equal_csv_writer(header, rows):
+    got = io.StringIO()
+    _emit_rows(argparse.Namespace(format="csv"), got, header, rows, None)
+    want = io.StringIO()
+    w = csv.writer(want, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    assert got.getvalue() == want.getvalue()
+
+
+def walked_cycles(line):
+    """Cycles of a one-line permutation, walked from each least unseen index."""
+    seen, out = set(), []
+    for start in range(1, len(line) + 1):
+        if start not in seen:
+            cyc, j = [start], line[start - 1]
+            while j != start:
+                cyc.append(j)
+                j = line[j - 1]
+            seen.update(cyc)
+            out.append(tuple(cyc))
+    return out
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(lines=random_perms(300, 1))
+def test_cycles_equal_a_reference_walk(lines):
+    line = tuple(lines[0])
+    assert sl.FracPermutation(len(line), line).cycles() == walked_cycles(line)
