@@ -217,6 +217,15 @@ def test_congruence_builds_each_factor_set_once(run_cli, monkeypatch):
         (["volume", "--n", "200"], "volume_{}_200.csv"),
         (["volume", "--n", "200", "--format", "json"], "volume_{}_200.json"),
         (["matrix", "--n", "60"], "matrix_{}_60.csv"),
+        (["table", "--from", "2", "--to", "60", "--format", "json"], "table_{}_2_60.json"),
+        (["matrix", "--n", "60", "--format", "json"], "matrix_{}_60.json"),
+        (["word", "--n", "500", "--format", "json"], "word_{}_500.json"),
+        (["perm", "--n", "200", "--format", "tsv"], "perm_{}_200.tsv"),
+        (["table", "--from", "2", "--to", "60", "--format", "tsv"], "table_{}_2_60.tsv"),
+        (["matrix", "--n", "60", "--format", "tsv"], "matrix_{}_60.tsv"),
+        (["volume", "--n", "200", "--format", "tsv"], "volume_{}_200.tsv"),
+        (["signsum", "--N", "5000", "--format", "tsv"], "signsum_{}_5000.tsv"),
+        (["brange", "--target", "2500", "--kmax", "5000", "--format", "tsv"], "brange_{}_5000.tsv"),
     ],
 )
 def test_output_matches_snapshot(run_cli, slope, argv, snapshot):
@@ -224,7 +233,8 @@ def test_output_matches_snapshot(run_cli, slope, argv, snapshot):
     # one replaced it: perm and table by the comparison sort, signsum, brange
     # and word by per-index floor_multiple calls (so meta.floors counts the
     # same floors), volume by unpivoted Bareiss elimination and matrix by
-    # per-route row assembly; every byte must stay the same
+    # per-route row assembly; the table, matrix and word JSON and every TSV
+    # snapshot pin each command's own rendering; every byte must stay the same
     rc, out, err = run_cli(argv[:1] + ["--alpha", SNAPSHOT_SLOPES[slope]] + argv[1:])
     assert rc == 0, err
     assert out.encode() == (SNAPSHOTS / snapshot.format(slope)).read_bytes()
@@ -238,6 +248,8 @@ def test_output_matches_snapshot(run_cli, slope, argv, snapshot):
         (["factors", "--n", "40", "--format", "json"], "factors_{}_40.json"),
         (["congruence", "--n", "40"], "congruence_{}_40.csv"),
         (["congruence", "--n", "40", "--format", "json"], "congruence_{}_40.json"),
+        (["factors", "--n", "40", "--format", "tsv"], "factors_{}_40.tsv"),
+        (["congruence", "--n", "40", "--format", "tsv"], "congruence_{}_40.tsv"),
     ],
 )
 def test_factor_set_commands_match_snapshot(run_cli, slope, argv, snapshot):
@@ -281,6 +293,7 @@ def test_word_rejects_sizes_below_one(run_cli, n):
         pytest.param("json", 30, id="json"),
         pytest.param("csv", 60, id="csv-60"),
         pytest.param("json", 60, id="json-60"),
+        pytest.param("tsv", 30, id="tsv"),  # two columns: n and the decimal
     ],
 )
 def test_integral_matches_snapshot(run_cli, fmt, to):
