@@ -5,6 +5,11 @@ brange, congruence, selftest.  Slopes are given with --alpha (or --a/--b) in
 the expression language of :mod:`sturmlab.irrational`.  Output is exact text;
 permutation orders are emitted as decimal strings, never floats.
 
+build_parser makes every subcommand from one table of commands and their
+options.  Each data command computes its answer and returns (header, rows,
+doc); _run adds the budget to the doc's meta and _emit_rows renders the
+result as CSV, TSV or JSON.  selftest writes its own PASS/FAIL report.
+
 The refinement budget (the cap on the convergent index a floor may use)
 comes from --budget, else the SturmLAB_BUDGET environment variable, else the
 library default.  Only the CLI reads that variable.
@@ -108,7 +113,10 @@ def _put_json(obj, pad, parts, out):
 
 
 def _emit_rows(args, out, header, rows, json_obj):
-    """Write rows in the requested format; json gets the prepared object."""
+    """Write rows in the requested format; json gets the prepared object.
+
+    A header of None means the rows have no header row.
+    """
     if args.format == "json":
         _write_json(json_obj, out)
     elif args.format == "tsv":
@@ -116,7 +124,7 @@ def _emit_rows(args, out, header, rows, json_obj):
             out.write("\t".join(str(x) for x in row) + "\n")
     else:
         w = csv.writer(out, lineterminator="\n")
-        for row in (header, *rows):
+        for row in rows if header is None else (header, *rows):
             # joined in C unless a field is None, has a comma, quote or line
             # end, or is the row's only field and empty: csv.writer quotes those
             text = None if None in row else ",".join(map(str, row))
@@ -128,6 +136,17 @@ def _emit_rows(args, out, header, rows, json_obj):
                 w.writerow(row)
 
 
+def _run(args, out) -> int:
+    """Run the parsed command into out and return its exit code; a data
+    command's meta starts with the budget, then any counters it reported."""
+    if args.command == "selftest":
+        return args.fn(args, out)
+    header, rows, doc = args.fn(args)
+    doc["meta"] = {"budget": _budget(args), **doc.get("meta", {})}
+    _emit_rows(args, out, header, rows, doc)
+    return 0
+
+
 def _run_to_file(args) -> int:
     """Run the command into a temporary file beside --out, then rename it over
     --out, so that a failed command leaves no truncated output behind."""
@@ -135,14 +154,14 @@ def _run_to_file(args) -> int:
     if os.path.exists(path) and not os.path.isfile(path):
         # a device or pipe such as /dev/stdout is written in place, never replaced
         with open(path, "w", encoding="utf-8") as out:
-            return args.fn(args, out) or 0
+            return _run(args, out)
     folder, name = os.path.split(path)
     if not os.path.isdir(folder):
         raise FileNotFoundError(f"--out directory {folder} does not exist")
     tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as out:
-            rc = args.fn(args, out) or 0
+            rc = _run(args, out)
         os.replace(tmp, path)
         return rc
     finally:
@@ -150,184 +169,115 @@ def _run_to_file(args) -> int:
             os.unlink(tmp)
 
 
-def _meta(args):
-    return {"budget": _budget(args)}
+def _sizes(args) -> range:
+    """The sizes --from..--to of table and integral."""
+    if not 1 <= args.start <= args.end:
+        raise SturmlabError(f"bad range {args.start}..{args.end}")
+    return range(args.start, args.end + 1)
 
 
-def cmd_word(args, out):
+def cmd_word(args):
     if args.n < 1:
         raise ValueError("n must be >= 1")
-    alpha = _slope(args)
-    bits = sturmian.characteristic_prefix(alpha, args.n)
-    word = "".join(map(str, bits))
-    if args.format == "json":
-        _write_json({"alpha": args.alpha, "n": args.n, "word": word, "meta": _meta(args)}, out)
-    else:
-        out.write(word + "\n")
+    word = "".join(map(str, sturmian.characteristic_prefix(_slope(args), args.n)))
+    return None, [[word]], {"alpha": args.alpha, "n": args.n, "word": word}
 
 
-def cmd_factors(args, out):
-    alpha = _slope(args)
-    fs = sturmian.factor_set(alpha, args.n)
+def cmd_factors(args):
+    fs = sturmian.factor_set(_slope(args), args.n)
     strings = ["".join(map(str, f)) for f in fs.factors]
-    _emit_rows(
-        args,
-        out,
-        ["index", "factor"],
-        list(enumerate(strings, start=1)),
-        {"alpha": args.alpha, "n": args.n, "factors": strings, "meta": _meta(args)},
-    )
+    doc = {"alpha": args.alpha, "n": args.n, "factors": strings}
+    return ["index", "factor"], list(enumerate(strings, start=1)), doc
 
 
-def cmd_matrix(args, out):
-    alpha = _slope(args)
-    m = matrep.m_from_alpha(alpha, args.n)
-    rows = [list(r) for r in m.entries]
-    _emit_rows(
-        args,
-        out,
-        [f"c{j}" for j in range(1, args.n + 1)],
-        rows,
-        {"alpha": args.alpha, "n": args.n, "rows": rows, "meta": _meta(args)},
-    )
+def cmd_matrix(args):
+    rows = [list(r) for r in matrep.m_from_alpha(_slope(args), args.n).entries]
+    header = [f"c{j}" for j in range(1, args.n + 1)]
+    return header, rows, {"alpha": args.alpha, "n": args.n, "rows": rows}
 
 
-def _perm_payload(alpha_text, pi):
+def cmd_perm(args):
+    pi = permtool.pi_sos(_slope(args), args.n)
+    sign, order = permtool.sign_direct(pi), str(permtool.order(pi))
+    rows = []
+    if args.format != "json":  # json output would throw the row's strings away
+        line = str(pi.one_line)[1:-1].replace(",", "")  # as in cycle_string
+        rows.append([pi.n, line, pi.cycle_string(), sign, order])
     # tuples serialize as JSON arrays, so no list copies are needed
-    return {
-        "alpha": alpha_text,
+    doc = {
+        "alpha": args.alpha,
         "n": pi.n,
         "perm": pi.one_line,
         "cycles": pi.cycles(),
-        "sign": permtool.sign_direct(pi),
-        "order": str(permtool.order(pi)),
+        "sign": sign,
+        "order": order,
     }
+    return ["n", "perm", "cycles", "sign", "order"], rows, doc
 
 
-def cmd_perm(args, out):
+def cmd_table(args):
     alpha = _slope(args)
-    pi = permtool.pi_sos(alpha, args.n)
-    payload = _perm_payload(args.alpha, pi)
-    payload["meta"] = _meta(args)
+    sizes = _sizes(args)
     rows = []
-    if args.format != "json":  # json output would throw the row's strings away
-        rows.append(
-            [
-                pi.n,
-                str(pi.one_line)[1:-1].replace(",", ""),  # as in cycle_string
-                pi.cycle_string(),
-                payload["sign"],
-                payload["order"],
-            ]
-        )
-    _emit_rows(args, out, ["n", "perm", "cycles", "sign", "order"], rows, payload)
-
-
-def cmd_table(args, out):
-    alpha = _slope(args)
-    if not 1 <= args.start <= args.end:
-        raise SturmlabError(f"bad range {args.start}..{args.end}")
-    rows = []
-    for n, first, last in permtool.range_extremes(alpha, args.start, args.end):
+    for n, first, last in permtool.range_extremes(alpha, sizes.start, sizes[-1]):
         sign, order = permtool.sos_sign_order(n, first, last)
         rows.append([n, sign, str(order)])
-    _emit_rows(
-        args,
-        out,
-        ["n", "sign", "order"],
-        rows,
-        {
-            "alpha": args.alpha,
-            "rows": [{"n": r[0], "sign": r[1], "order": r[2]} for r in rows],
-            "meta": _meta(args),
-        },
-    )
+    header = ["n", "sign", "order"]
+    return header, rows, {"alpha": args.alpha, "rows": [dict(zip(header, r)) for r in rows]}
 
 
-def cmd_volume(args, out):
-    alpha = _slope(args)
-    v = matrep.simplex_volume(alpha, args.n)
+def cmd_volume(args):
+    v = matrep.simplex_volume(_slope(args), args.n)
     # unlike str(int), str(Decimal) has no sys.int_max_str_digits cap (n! passes it at n ~ 1550)
     text = str(Decimal(v.numerator))
     if v.denominator > 1:
         text += "/" + str(Decimal(v.denominator))
-    _emit_rows(
-        args,
-        out,
-        ["n", "volume"],
-        [[args.n, text]],
-        {"alpha": args.alpha, "n": args.n, "volume": text, "meta": _meta(args)},
-    )
+    return ["n", "volume"], [[args.n, text]], {"alpha": args.alpha, "n": args.n, "volume": text}
 
 
-def cmd_integral(args, out):
-    if not 1 <= args.start <= args.end:
-        raise SturmlabError(f"bad range {args.start}..{args.end}")
+def cmd_integral(args):
+    header = ["n", "integral", "decimal", "cells", "coverage_ok"]
     rows = []
     jrows = []
-    for n in range(args.start, args.end + 1):
+    for n in _sizes(args):
         res = farey.exact_integral(n)
         dec = float(res.value)
-        ok = 1 if res.coverage == 1 else 0
+        ok = res.coverage == 1
         if args.format == "tsv":
             rows.append([n, repr(dec)])  # two-column plot data
         else:
-            rows.append([n, str(res.value), repr(dec), res.cells, ok])
-        jrows.append(
-            {
-                "n": n,
-                "integral": str(res.value),
-                "decimal": dec,
-                "cells": res.cells,
-                "coverage_ok": bool(ok),
-            }
-        )
-    _emit_rows(
-        args,
-        out,
-        ["n", "integral", "decimal", "cells", "coverage_ok"],
-        rows,
-        {"rows": jrows, "meta": _meta(args)},
-    )
+            rows.append([n, str(res.value), repr(dec), res.cells, int(ok)])
+        jrows.append(dict(zip(header, (n, str(res.value), dec, res.cells, ok))))
+    return header, rows, {"rows": jrows}
 
 
-def cmd_signsum(args, out):
+def cmd_signsum(args):
     alpha = _slope(args)
     total, peak = farey.sign_sum(alpha, args.N)
-    _emit_rows(
-        args,
-        out,
-        ["N", "sum", "max_abs"],
-        [[args.N, total, peak]],
-        {
-            "alpha": args.alpha,
-            "N": args.N,
-            "sum": total,
-            "max_abs": peak,
-            "meta": {**_meta(args), "floors": alpha.stats["floors"]},
-        },
-    )
+    doc = {
+        "alpha": args.alpha,
+        "N": args.N,
+        "sum": total,
+        "max_abs": peak,
+        "meta": {"floors": alpha.stats["floors"]},
+    }
+    return ["N", "sum", "max_abs"], [[args.N, total, peak]], doc
 
 
-def cmd_brange(args, out):
+def cmd_brange(args):
     alpha = _slope(args)
     k = farey.b_range_search(alpha, args.target, args.kmax)
-    _emit_rows(
-        args,
-        out,
-        ["target", "kmax", "k"],
-        [[args.target, args.kmax, "none" if k is None else k]],
-        {
-            "alpha": args.alpha,
-            "target": args.target,
-            "kmax": args.kmax,
-            "k": k,
-            "meta": {**_meta(args), "floors": alpha.stats["floors"]},
-        },
-    )
+    doc = {
+        "alpha": args.alpha,
+        "target": args.target,
+        "kmax": args.kmax,
+        "k": k,
+        "meta": {"floors": alpha.stats["floors"]},
+    }
+    return ["target", "kmax", "k"], [[args.target, args.kmax, "none" if k is None else k]], doc
 
 
-def cmd_congruence(args, out):
+def cmd_congruence(args):
     a = _slope(args, "a")
     b = _slope(args, "b")
     fa = sturmian.factor_set(a, args.n).factors
@@ -335,119 +285,85 @@ def cmd_congruence(args, out):
     congruent = farey.factors_congruent(fa, fb)
     equal = fa == fb
     complement = fa == farey.complement_factors(fb)
-    _emit_rows(
-        args,
-        out,
-        ["n", "congruent", "factors_equal", "factors_complement"],
-        [[args.n, int(congruent), int(equal), int(complement)]],
-        {
-            "a": args.a,
-            "b": args.b,
-            "n": args.n,
-            "congruent": congruent,
-            "factors_equal": equal,
-            "factors_complement": complement,
-            "meta": {**_meta(args), "floors": a.stats["floors"] + b.stats["floors"]},
-        },
-    )
+    doc = {
+        "a": args.a,
+        "b": args.b,
+        "n": args.n,
+        "congruent": congruent,
+        "factors_equal": equal,
+        "factors_complement": complement,
+        "meta": {"floors": a.stats["floors"] + b.stats["floors"]},
+    }
+    header = ["n", "congruent", "factors_equal", "factors_complement"]
+    return header, [[args.n, int(congruent), int(equal), int(complement)]], doc
 
 
 def cmd_selftest(args, out):
     from . import selftest  # only this command needs the fixtures
 
-    return selftest.run(seed=args.seed or 0, report=lambda s: out.write(s + "\n"))
+    return selftest.run(seed=args.seed, report=lambda s: out.write(s + "\n"))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["csv", "json", "tsv"], default="csv")
-    common.add_argument("--out", help="write output to this file instead of stdout")
-    common.add_argument("--budget", type=int, help="caps the convergent index of floors at budget + 1")
-    common.add_argument("--seed", type=int, help="seed for randomized checks")
-
+    # built on each call, not at import, so that the table holds each command
+    # as the module's globals hold it when the parser is built
+    text = dict(required=True)
+    whole = dict(type=int, required=True)
+    out = dict(help="write output to this file instead of stdout")
+    data = {
+        "format": dict(choices=["csv", "json", "tsv"], default="csv"),
+        "out": out,
+        "budget": dict(type=int, help="caps the convergent index of floors at budget + 1"),
+    }
+    sized = {**data, "alpha": text, "n": whole}
+    to = dict(dest="end", type=int, required=True)
+    commands = {  # name: (function, help, {option: add_argument keywords})
+        "word": (cmd_word, "prefix of the characteristic word", sized),
+        "factors": (cmd_factors, "length-n factors in anti-lexicographic order", sized),
+        "matrix": (cmd_matrix, "matrix of the ordering permutation", sized),
+        "perm": (cmd_perm, "ordering permutation with cycles, sign and order", sized),
+        "table": (
+            cmd_table,
+            "sign and order for a range of sizes",
+            {**data, "alpha": text, "from": dict(dest="start", type=int, required=True), "to": to},
+        ),
+        "volume": (cmd_volume, "exact volume of the factor simplex", sized),
+        "integral": (
+            cmd_integral,
+            "exact integral of the permutation order",
+            {**data, "from": dict(dest="start", type=int, default=1), "to": to},
+        ),
+        "signsum": (
+            cmd_signsum,
+            "running sum of permutation signs",
+            {**data, "alpha": text, "N": whole},
+        ),
+        "brange": (
+            cmd_brange,
+            "least k with B(k) equal to a target",
+            {**data, "alpha": text, "target": whole, "kmax": whole},
+        ),
+        "congruence": (
+            cmd_congruence,
+            "congruence of two factor simplices",
+            {**data, "a": text, "b": text, "n": whole},
+        ),
+        "selftest": (
+            cmd_selftest,
+            "run embedded reference checks",
+            {"out": out, "seed": dict(type=int, default=0, help="seed for randomized checks")},
+        ),
+    }
     p = argparse.ArgumentParser(
         prog="sturmlab",
         description="Exact experiments with fractional-part orderings of irrational multiples",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, helptext, **params):
-        sp = sub.add_parser(name, parents=[common], help=helptext)
-        for pname, kwargs in params.items():
-            sp.add_argument(f"--{pname.rstrip('_')}", **kwargs)
+    for name, (fn, helptext, options) in commands.items():
+        sp = sub.add_parser(name, help=helptext)
+        for option, kwargs in options.items():
+            sp.add_argument(f"--{option}", **kwargs)
         sp.set_defaults(fn=fn)
-        return sp
-
-    add(
-        "word",
-        cmd_word,
-        "prefix of the characteristic word",
-        alpha=dict(required=True),
-        n=dict(type=int, required=True),
-    )
-    add(
-        "factors",
-        cmd_factors,
-        "length-n factors in anti-lexicographic order",
-        alpha=dict(required=True),
-        n=dict(type=int, required=True),
-    )
-    add(
-        "matrix",
-        cmd_matrix,
-        "matrix of the ordering permutation",
-        alpha=dict(required=True),
-        n=dict(type=int, required=True),
-    )
-    add(
-        "perm",
-        cmd_perm,
-        "ordering permutation with cycles, sign and order",
-        alpha=dict(required=True),
-        n=dict(type=int, required=True),
-    )
-    tb = add(
-        "table",
-        cmd_table,
-        "sign and order for a range of sizes",
-        alpha=dict(required=True),
-    )
-    tb.add_argument("--from", dest="start", type=int, required=True)
-    tb.add_argument("--to", dest="end", type=int, required=True)
-    add(
-        "volume",
-        cmd_volume,
-        "exact volume of the factor simplex",
-        alpha=dict(required=True),
-        n=dict(type=int, required=True),
-    )
-    ig = add("integral", cmd_integral, "exact integral of the permutation order")
-    ig.add_argument("--from", dest="start", type=int, default=1)
-    ig.add_argument("--to", dest="end", type=int, required=True)
-    add(
-        "signsum",
-        cmd_signsum,
-        "running sum of permutation signs",
-        alpha=dict(required=True),
-        N=dict(type=int, required=True),
-    )
-    add(
-        "brange",
-        cmd_brange,
-        "least k with B(k) equal to a target",
-        alpha=dict(required=True),
-        target=dict(type=int, required=True),
-        kmax=dict(type=int, required=True),
-    )
-    add(
-        "congruence",
-        cmd_congruence,
-        "congruence of two factor simplices",
-        a=dict(required=True),
-        b=dict(required=True),
-        n=dict(type=int, required=True),
-    )
-    add("selftest", cmd_selftest, "run embedded reference checks")
     return p
 
 
@@ -456,7 +372,7 @@ def main(argv=None) -> int:
     try:
         if args.out:
             return _run_to_file(args)
-        return args.fn(args, sys.stdout) or 0
+        return _run(args, sys.stdout)
     except (SturmlabError, OSError) as exc:
         code = type(exc).__name__
         print(f"error[{code}]: {exc}", file=sys.stderr)

@@ -93,21 +93,10 @@ def factor_matrix(sigma: FracPermutation) -> FactorMatrix:
     return FactorMatrix(sigma.n, _run_rows(sigma, sigma.n))
 
 
-def m_from_alpha(alpha: IrrationalSlope, n: int, via: str = "perm") -> FactorMatrix:
-    """Matrix of the fractional-part ordering permutation at size n.
-
-    via="perm" goes through the permutation (built by the recurrence
-    :func:`~sturmlab.permtool.pi_sos`); via="factors" assembles the same
-    matrix from the geometric factor columns.  The two must agree.
-    """
-    if via == "perm":
-        return factor_matrix(pi_sos(alpha, n))
-    if via == "factors":
-        from .sturmian import factor_set  # local import keeps modules acyclic
-
-        *head, last = factor_set(alpha, n).factors
-        return FactorMatrix(n, tuple(tuple(c[i] - x for c in head) for i, x in enumerate(last)))
-    raise ValueError(f"via must be 'perm' or 'factors', got {via!r}")
+def m_from_alpha(alpha: IrrationalSlope, n: int) -> FactorMatrix:
+    """Matrix of the fractional-part ordering permutation at size n, built
+    by the recurrence :func:`~sturmlab.permtool.pi_sos`."""
+    return factor_matrix(pi_sos(alpha, n))
 
 
 def reconstruct_sigma(m: FactorMatrix | Sequence[Sequence[int]]) -> FracPermutation:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sturmlab.cli
-from sturmlab import farey, sturmian
+from sturmlab import farey, permtool, sturmian
 
 SNAPSHOTS = Path(__file__).with_name("snapshots")
 SNAPSHOT_SLOPES = {"phi": "phi", "e": "e", "lq": "cf:[0;2,32003,...]"}
@@ -365,6 +365,54 @@ def test_budget_flag_and_env(run_cli, monkeypatch):
 def test_bad_format_rejected(run_cli):
     with pytest.raises(SystemExit):
         sturmlab.cli.main(["perm", "--alpha", "phi", "--n", "5", "--format", "xml"])
+
+
+OUTPUT = ["--format", "tsv", "--out", "o.tsv", "--budget", "50"]
+OUTPUT_ARGS = {"format": "tsv", "out": "o.tsv", "budget": 50}
+SIZED = ["--alpha", "phi", "--n", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, parsed",
+    [
+        (["word", *SIZED, *OUTPUT], OUTPUT_ARGS),
+        (["factors", *SIZED, *OUTPUT], OUTPUT_ARGS),
+        (["matrix", *SIZED, *OUTPUT], OUTPUT_ARGS),
+        (["perm", *SIZED, *OUTPUT], OUTPUT_ARGS),
+        (["table", "--alpha", "e", "--from", "2", "--to", "9", *OUTPUT], OUTPUT_ARGS),
+        (["volume", *SIZED, *OUTPUT], OUTPUT_ARGS),
+        (["integral", "--to", "3", *OUTPUT], {**OUTPUT_ARGS, "start": 1, "end": 3}),
+        (["signsum", "--alpha", "e", "--N", "9", *OUTPUT], OUTPUT_ARGS),
+        (["brange", "--alpha", "e", "--target", "2", "--kmax", "9", *OUTPUT], OUTPUT_ARGS),
+        (["congruence", "--a", "phi", "--b", "e", "--n", "5", *OUTPUT], OUTPUT_ARGS),
+        (["selftest", "--seed", "4", "--out", "o.txt"], {"seed": 4, "out": "o.txt"}),
+        (["selftest"], {"seed": 0, "out": None}),
+        (["perm", *SIZED, "--seed", "1"], None),
+        (["selftest", "--format", "json"], None),
+        (["selftest", "--budget", "3"], None),
+        (["table", "--alpha", "e", "--to", "9"], None),
+    ],
+)
+def test_option_table(capsys, argv, parsed):
+    # parsed None: argparse rejects argv and exits with code 2 before any command runs
+    if parsed is None:
+        with pytest.raises(SystemExit) as exc:
+            sturmlab.cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+    else:
+        args = vars(sturmlab.cli.build_parser().parse_args(argv))
+        assert {key: args[key] for key in parsed} == parsed
+
+
+def test_perm_json_builds_no_row_strings(run_cli, monkeypatch):
+    def refuse(self):
+        raise AssertionError("perm --format json built the CSV cycle string")
+
+    monkeypatch.setattr(permtool.FracPermutation, "cycle_string", refuse)
+    rc, out, err = run_cli(["perm", "--alpha", "phi", "--n", "5", "--format", "json"])
+    assert rc == 0, err
+    assert json.loads(out)["cycles"] == [[1, 5, 3, 4], [2]]
 
 
 def test_selftest_passes(run_cli):

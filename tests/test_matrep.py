@@ -105,26 +105,23 @@ def test_factor_matrix_fixture():
     assert sl.factor_matrix(SIGMA_52314).entries == MATRIX_52314
 
 
+def geometric_matrix(alpha, n):
+    """The matrix assembled from the factor-set columns, c[i] - last[i]: an
+    oracle that never builds the ordering permutation."""
+    *head, last = sl.factor_set(alpha, n).factors
+    return tuple(tuple(c[i] - x for c in head) for i, x in enumerate(last))
+
+
 def test_matrix_inv_e_6_both_routes():
     inv_e = sl.EulerEInv()
-    via_perm = sl.m_from_alpha(inv_e, 6, via="perm")
-    via_factors = sl.m_from_alpha(inv_e, 6, via="factors")
-    assert via_perm.entries == MATRIX_INV_E_6
-    assert via_factors.entries == MATRIX_INV_E_6
+    assert sl.m_from_alpha(inv_e, 6).entries == MATRIX_INV_E_6
+    assert geometric_matrix(inv_e, 6) == MATRIX_INV_E_6
 
 
 def test_m_from_alpha_routes_agree(named_slope):
     name, alpha = named_slope
     for n in (1, 2, 3, 7, 12):
-        assert (
-            sl.m_from_alpha(alpha, n, via="perm").entries
-            == sl.m_from_alpha(alpha, n, via="factors").entries
-        )
-
-
-def test_m_from_alpha_rejects_unknown_route():
-    with pytest.raises(ValueError):
-        sl.m_from_alpha(sl.phi(), 4, via="magic")
+        assert sl.m_from_alpha(alpha, n).entries == geometric_matrix(alpha, n)
 
 
 def test_adjacent_transposition_is_identity_plus_v():
