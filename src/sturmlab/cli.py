@@ -307,15 +307,16 @@ def cmd_selftest(args, out):
 def build_parser() -> argparse.ArgumentParser:
     # built on each call, not at import, so that the table holds each command
     # as the module's globals hold it when the parser is built
+    out = dict(help="write output to this file instead of stdout")
+    data = argparse.ArgumentParser(add_help=False)  # the options of every data command
+    data.add_argument("--format", choices=["csv", "json", "tsv"], default="csv")
+    data.add_argument("--out", **out)
+    data.add_argument(
+        "--budget", type=int, help="caps the convergent index of floors at budget + 1"
+    )
     text = dict(required=True)
     whole = dict(type=int, required=True)
-    out = dict(help="write output to this file instead of stdout")
-    data = {
-        "format": dict(choices=["csv", "json", "tsv"], default="csv"),
-        "out": out,
-        "budget": dict(type=int, help="caps the convergent index of floors at budget + 1"),
-    }
-    sized = {**data, "alpha": text, "n": whole}
+    sized = {"alpha": text, "n": whole}
     to = dict(dest="end", type=int, required=True)
     commands = {  # name: (function, help, {option: add_argument keywords})
         "word": (cmd_word, "prefix of the characteristic word", sized),
@@ -325,28 +326,24 @@ def build_parser() -> argparse.ArgumentParser:
         "table": (
             cmd_table,
             "sign and order for a range of sizes",
-            {**data, "alpha": text, "from": dict(dest="start", type=int, required=True), "to": to},
+            {"alpha": text, "from": dict(dest="start", type=int, required=True), "to": to},
         ),
         "volume": (cmd_volume, "exact volume of the factor simplex", sized),
         "integral": (
             cmd_integral,
             "exact integral of the permutation order",
-            {**data, "from": dict(dest="start", type=int, default=1), "to": to},
+            {"from": dict(dest="start", type=int, default=1), "to": to},
         ),
-        "signsum": (
-            cmd_signsum,
-            "running sum of permutation signs",
-            {**data, "alpha": text, "N": whole},
-        ),
+        "signsum": (cmd_signsum, "running sum of permutation signs", {"alpha": text, "N": whole}),
         "brange": (
             cmd_brange,
             "least k with B(k) equal to a target",
-            {**data, "alpha": text, "target": whole, "kmax": whole},
+            {"alpha": text, "target": whole, "kmax": whole},
         ),
         "congruence": (
             cmd_congruence,
             "congruence of two factor simplices",
-            {**data, "a": text, "b": text, "n": whole},
+            {"a": text, "b": text, "n": whole},
         ),
         "selftest": (
             cmd_selftest,
@@ -360,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
     for name, (fn, helptext, options) in commands.items():
-        sp = sub.add_parser(name, help=helptext)
+        # argparse copies the options of a parents= parser, which costs less
+        # than adding them to each subparser anew
+        sp = sub.add_parser(name, parents=[] if name == "selftest" else [data], help=helptext)
         for option, kwargs in options.items():
             sp.add_argument(f"--{option}", **kwargs)
         sp.set_defaults(fn=fn)
