@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator
 
 from .errors import RecurrenceMismatch, WitnessCollision
 from .irrational import IrrationalSlope
-from .permtool import FracPermutation, b_stream, sos_line, sos_sign_order
+from .permtool import FracPermutation, _sign_walk, b_stream, sos_line, sos_sign_order
 from .sturmian import factor_set
 
 
@@ -123,26 +122,28 @@ def sign_sum(alpha: IrrationalSlope, upto: int) -> tuple[int, int]:
     """(final sum, max |partial sum|) of ordering-permutation signs.
 
     The sign changes only at even sizes m, by the parity of floor(m*alpha),
-    and then holds at m + 1; so the sizes go in pairs (m, m + 1), each read
-    off one floor of the stream alpha.floors(2, 2).  Within a pair the sum
-    moves twice by the same sign, so its largest |sum| is at an end.
+    and then holds at m + 1; so the sizes go in pairs (m, m + 1), and within
+    a pair the sum moves twice by the same sign, so its largest |sum| is at
+    an end.  The pairs up to upto are one sign walk along the floor line
+    (:func:`permtool._sign_walk`), O(log upto) exact steps; a last even size
+    with no partner reads its floor off the line.  Counts the upto // 2
+    floors the answer depends on in stats["floors"].
     """
     if upto < 1:
         raise ValueError("upto must be >= 1")
-    cur = total = peak = 1  # size 1
-    floors = alpha.floors(2, 2)
-    for f in islice(floors, (upto - 1) // 2):
-        if f & 1:
-            cur = -cur
-        total += 2 * cur
-        if abs(total) > peak:
-            peak = abs(total)
+    if upto == 1:
+        return 1, 1
+    line = alpha.floor_line(upto - upto % 2)
+    alpha.stats["floors"] += upto // 2
+    sign, total, hi, lo = _sign_walk(line, (upto - 1) // 2)
+    total += 1  # size 1
+    peak = 1 if hi is None else max(1, 1 + hi, -1 - lo)
     if upto % 2 == 0:  # the last even size has no partner
-        if next(floors) & 1:
-            cur = -cur
-        total += cur
+        p, r, q = line
+        if (upto * p + r) // q & 1:
+            sign = -sign
+        total += sign
         peak = max(peak, abs(total))
-    floors.close()
     return total, peak
 
 

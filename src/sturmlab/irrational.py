@@ -19,7 +19,9 @@ Scans over k = start, start + step, ... use :meth:`IrrationalSlope.floors`,
 a stream of floor(k*value) that divides once per run of indices below
 q_{m+1} and then carries quotient and remainder forward by one addition
 per index.  Random access goes through :meth:`IrrationalSlope.floor_multiple`,
-which caches small indices.
+which caches small indices.  Walks that need no floor one by one take the
+rational line of a whole block from :meth:`IrrationalSlope.floor_line` and
+fold it in O(log) products with :func:`_euclid_product`.
 
 Slope expressions accepted by :func:`parse_slope`:
 
@@ -80,6 +82,47 @@ def _floor_surd(p: int, q: int, d: int, r: int) -> int:
     s = math.isqrt(q * q * d)
     num = p + s if q >= 0 else p - s - 1
     return num // r
+
+
+def _euclid_product(p: int, q: int, r: int, n: int, up, right, mul, one):
+    """The word prod_{l=1..n} up^(f(l) - f(l-1)) * right, f(l) = (p*l + r) // q.
+
+    Needs p >= 0 and 0 <= r < q; mul(x, y) is x then y in an associative
+    product with identity one.  The universal Euclidean algorithm: p >= q
+    folds up^(p // q) into each right, and p < q reads the same word with
+    the roles of up and right swapped, along the line of slope q/p.  So the
+    pairs (p, q) run as in gcd(p, q), and the word takes O(log(p + q + n))
+    products.  The levels are unrolled into a loop: each wraps the word of
+    the next between a head and a tail.
+    """
+
+    def power(x, k):
+        out = None  # one, before any factor
+        while k:
+            if k & 1:
+                out = x if out is None else mul(out, x)
+            k >>= 1
+            if k:
+                x = mul(x, x)
+        return one if out is None else out
+
+    heads, tails = [], []
+    while True:
+        m = (p * n + r) // q  # the ups in the word
+        if m == 0:
+            word = power(right, n)
+            break
+        if p >= q:
+            right = mul(power(up, p // q), right)
+            p %= q
+            continue
+        # the k-th up follows (q*k - r - 1) // p rights
+        heads.append(mul(power(right, (q - r - 1) // p), up))
+        tails.append(power(right, n - (q * m - r - 1) // p))
+        p, q, r, n, up, right = q, p, (q - r - 1) % p, m - 1, right, up
+    while heads:
+        word = mul(mul(heads.pop(), word), tails.pop())
+    return word
 
 
 # Quotient streams are module-level generators over plain values, so that a
@@ -303,6 +346,20 @@ class IrrationalSlope:
                 k += n * step
         finally:
             stats["floors"] += i + 1
+
+    def floor_line(self, n: int) -> tuple[int, int, int]:
+        """(p, r, q) with floor(k*value) == (k*p + r) // q for 1 <= k <= n.
+
+        The rule of :meth:`floors` below q_{m+1}: p = p_m, q = q_m and
+        r = -(m % 2).  The kernel advances to n under the budget, as a floors
+        stream that reads up to index n does, so refine_steps and
+        RefinementBudgetExceeded are the stream's; no floor is counted.
+        """
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if n >= self._qn:
+            self._advance(n)
+        return self._pm, -(self._m % 2), self._qm
 
     def floor_reduced(self, k: int) -> int:
         """floor(k * {value}) where {x} is the fractional part."""

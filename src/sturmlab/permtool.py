@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import islice
 from typing import Iterator, Sequence
 
 from .errors import RecurrenceMismatch
-from .irrational import IrrationalSlope
+from .irrational import IrrationalSlope, _euclid_product
 
 
 @dataclass(frozen=True)
@@ -160,22 +159,28 @@ def range_extremes(alpha: IrrationalSlope, start: int, end: int) -> list[tuple[i
     """(n, *extreme_positions(alpha, n)) for n = start..end.
 
     The extremes move only when the newest point {n*alpha} is one of them,
-    which makes n a semiconvergent denominator q_{j-1} + t*q_j with
-    1 <= t <= a_{j+1}; so :func:`extreme_positions` runs only at start and
-    at those n, and each other n repeats the extremes of n - 1.
+    which makes n a semiconvergent denominator d = q_{j-1} + t*q_j with
+    1 <= t <= a_{j+1}; and every such d is a new record on the side of
+    p_{j-1}/q_{j-1}: the greatest {d*alpha} for even j, the least for odd j.
+    So :func:`extreme_positions` runs only at start, each d > start sets one
+    extreme with no comparison, and each other n repeats those of n - 1.
     """
     if not 1 <= start <= end:
         raise ValueError(f"bad range {start}..{end}")
     rows = []
-    n, ext = start, extreme_positions(alpha, start)
+    n, (first, last) = start, extreme_positions(alpha, start)
     q_prev, q, j = 0, 1, 0  # q_{j-1}, q_j
     while q_prev + q <= end:
         a = alpha.partial_quotient(j + 1)
         for d in range(q_prev + max(1, (n - q_prev) // q + 1) * q, min(q_prev + a * q, end) + 1, q):
-            rows += [(k, *ext) for k in range(n, d)]
-            n, ext = d, extreme_positions(alpha, d)
+            rows += [(k, first, last) for k in range(n, d)]
+            n = d
+            if j % 2:
+                first = d
+            else:
+                last = d
         q_prev, q, j = q, q_prev + a * q, j + 1
-    rows += [(k, *ext) for k in range(n, end + 1)]
+    rows += [(k, first, last) for k in range(n, end + 1)]
     return rows
 
 
@@ -308,18 +313,74 @@ def sign_direct(pi: FracPermutation) -> int:
     return -1 if (pi.n - len(pi._cycles)) % 2 else 1
 
 
+# The sign walk, as a monoid of ints for irrational._euclid_product.  The walk
+# reads floors f(l) = floor(2*l*alpha) for l = 1, 2, ...: U raises the current
+# floor by one and R steps to the next l.  An element maps the parity of the
+# current floor on entry to (flip, total, hi, lo): whether the sign flips, the
+# change of the running total entered with sign +1, and its largest and least
+# value after each R (None before the first R).  A sign of -1 on entry negates
+# the total and swaps hi and lo.  An element is (U count mod 2, branch for
+# parity 0, branch for parity 1).
+_NO_STEP = (0, 0, None, None)
+_WALK_ONE = (0, _NO_STEP, _NO_STEP)
+_WALK_U = (1, _NO_STEP, _NO_STEP)
+# R flips the sign when the floor is odd, then adds 2*sign: sizes 2l and 2l+1
+_WALK_R = (0, (0, 2, 2, 2), (1, -2, -2, -2))
+
+
+def _walk_then(a: tuple, b: tuple) -> tuple:
+    """Branch a, then branch b entered with the sign a leaves."""
+    if a[2] is None:
+        return b
+    if b[2] is None:
+        return a
+    f, t, hi, lo = a
+    g, s, bhi, blo = b
+    if f:
+        s, bhi, blo = -s, -blo, -bhi
+    bhi += t
+    blo += t
+    # conditionals, not max() and min(): this is the walk's inner step
+    return f ^ g, t + s, hi if hi > bhi else bhi, lo if lo < blo else blo
+
+
+def _walk_mul(x: tuple, y: tuple) -> tuple:
+    """x, then y: y is entered at the parity x leaves."""
+    u = x[0]
+    return u ^ y[0], _walk_then(x[1], y[1 + u]), _walk_then(x[2], y[2 - u])
+
+
+def _sign_walk(line: tuple[int, int, int], pairs: int) -> tuple[int, int, int | None, int | None]:
+    """(sign, total, hi, lo) of the sign walk over l = 1..pairs, from sign +1.
+
+    line = (p, r, q) gives floor(k*alpha) = (k*p + r) // q for k <= 2*pairs
+    (:meth:`IrrationalSlope.floor_line`), so f(l) = (2*p*l + r) // q.  U
+    flips only a parity, so U^2 is the identity and 2*p may be taken mod 2*q;
+    r is taken mod q, and the floor (r // q) it drops sets the parity at l = 0.
+    """
+    p, r, q = line
+    word = _euclid_product(2 * p % (2 * q), q, r % q, pairs, _WALK_U, _WALK_R, _walk_mul, _WALK_ONE)
+    flip, total, hi, lo = word[1 + (r // q & 1)]
+    return -1 if flip else 1, total, hi, lo
+
+
 def sign_formula(alpha: IrrationalSlope, m: int) -> int:
     """Signature of the ordering permutation from floor parities.
 
-    The product of (-1)^floor(2*l*alpha) over l <= m//2, read off the
-    stream alpha.floors(2, 2) as :func:`farey.sign_sum` does.  Adding an
-    integer to alpha changes each floor by an even amount, so reduction mod 1
-    is immaterial here.
+    The product of (-1)^floor(2*l*alpha) over l <= m//2: the sign the walk
+    of :func:`_sign_walk` ends with, O(log m) exact steps along the floor
+    line.  Adding an integer to alpha changes each floor by an even amount,
+    so reduction mod 1 is immaterial here.  Counts the m//2 floors it reads
+    off the line in stats["floors"].
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    odd = sum(f & 1 for f in islice(alpha.floors(2, 2), m // 2))
-    return -1 if odd % 2 else 1
+    if m == 1:
+        return 1
+    pairs = m // 2
+    line = alpha.floor_line(2 * pairs)
+    alpha.stats["floors"] += pairs
+    return _sign_walk(line, pairs)[0]
 
 
 def order(pi: FracPermutation) -> int:

@@ -141,6 +141,23 @@ def run(seed: int = 0, report=print) -> int:
 
     got = farey.sign_sum(e, 10)
     check("signsum-e-10", got == (-4, 5), f"got {got}")
+    # the reduction against the running sum along the floors stream, size by size
+    ok, detail = True, ""
+    for expr in ("e", "phi", "cf:[0;2,5000,...]"):
+        alpha, stream = parse_slope(expr), parse_slope(expr).floors(2, 2)
+        cur = total = peak = 1  # size 1
+        for n in range(2, 3001):
+            if n % 2 == 0 and next(stream) & 1:
+                cur = -cur
+            total += cur
+            peak = max(peak, abs(total))
+            got = farey.sign_sum(alpha, n)
+            if got != (total, peak):
+                ok, detail = False, f"{expr}, N={n}: got {got}, want {(total, peak)}"
+                break
+        if not ok:
+            break
+    check("signsum-reduction-vs-stream", ok, detail)
     ok, detail = True, ""
     for k, bk in itertools.islice(permtool.b_stream(inv_e), 200):
         want = permtool.b_alpha(inv_e, k)

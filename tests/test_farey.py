@@ -1,6 +1,7 @@
 """Farey cells, the exact order integral, experiments, and congruence."""
 
 import math
+from itertools import islice
 from fractions import Fraction
 
 import pytest
@@ -245,3 +246,20 @@ def test_complement_factors_involution(named_slope):
     name, alpha = named_slope
     factors = sl.factor_set(alpha, 9).factors
     assert sl.complement_factors(sl.complement_factors(factors)) == factors
+
+
+
+@pytest.mark.parametrize("upto", [2, 3, 4, 5, 6, 10, 30, 31, 64, 65])
+def test_sign_sum_budget_fails_where_the_stream_fails(upto):
+    # e's denominators are 1, 1, 3, 4, 7, 32, 39, 71: a small budget stops
+    # the stream of floor(2*l*e) at some l <= upto // 2 or lets it through
+    for budget in (1, 2, 3, 4, 5):
+        reduced, streamed = sl.EulerE(budget), sl.EulerE(budget)
+        try:
+            list(islice(streamed.floors(2, 2), upto // 2))
+        except sl.RefinementBudgetExceeded:
+            with pytest.raises(sl.RefinementBudgetExceeded):
+                sl.sign_sum(reduced, upto)
+        else:
+            sl.sign_sum(reduced, upto)
+            assert reduced.stats == streamed.stats

@@ -4,6 +4,7 @@ writer against json.dumps and its CSV rows against csv.writer on random
 payloads."""
 
 import argparse
+import copy
 import csv
 import io
 import json
@@ -86,6 +87,55 @@ def test_sign_formula_equals_sign_of_sorted_order(alpha, m):
     assert sl.sign_formula(alpha, m) == sl.sign_direct(sl.pi_direct(alpha, m))
 
 
+def streamed_sign_sum(alpha, upto):
+    """sign_sum size by size along the floors stream: the reduction's oracle."""
+    cur = total = peak = 1  # size 1
+    floors = alpha.floors(2, 2)
+    for f in islice(floors, (upto - 1) // 2):
+        if f & 1:
+            cur = -cur
+        total += 2 * cur
+        peak = max(peak, abs(total))
+    if upto % 2 == 0:
+        if next(floors) & 1:
+            cur = -cur
+        total += cur
+        peak = max(peak, abs(total))
+    floors.close()
+    return total, peak
+
+
+def streamed_sign(alpha, m):
+    """The sign formula's parity summed along the floors stream."""
+    odd = sum(f & 1 for f in islice(alpha.floors(2, 2), m // 2))
+    return -1 if odd % 2 else 1
+
+
+def denominators(alpha, limit=2 * 10**5):
+    """The convergent denominators 2 <= q_m <= limit; never empty for a_m <= 10^5."""
+    out, m = [], 1
+    while (q := alpha.convergent(m).q) <= limit:
+        if q >= 2:
+            out.append(q)
+        m += 1
+    return out
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(alpha=slopes, pick=st.integers(0, 20))
+def test_sign_sum_and_sign_equal_the_streamed_ones(alpha, pick):
+    # unused copies, so that stats compare from zero; each copy then keeps
+    # its kernel from one size to the next
+    reduced, streamed, signs, streamed_signs, probe = (copy.deepcopy(alpha) for _ in range(5))
+    dens = denominators(probe)
+    q = dens[pick % len(dens)]
+    for upto in (1, 2, 3, q - 1, q, q + 1):
+        assert sl.sign_sum(reduced, upto) == streamed_sign_sum(streamed, upto), upto
+        assert reduced.stats == streamed.stats, upto
+        assert sl.sign_formula(signs, upto) == streamed_sign(streamed_signs, upto), upto
+        assert signs.stats["refine_steps"] == streamed_signs.stats["refine_steps"], upto
+
+
 def json_payloads():
     """Nested dicts, lists and tuples of the scalars the CLI writes."""
     long_ints = st.builds(
@@ -166,6 +216,23 @@ def test_range_extremes_equal_extreme_positions_at_every_n(alpha, ends):
     start, end = ends
     want = [(n, *sl.permtool.extreme_positions(alpha, n)) for n in range(start, end + 1)]
     assert sl.permtool.range_extremes(alpha, start, end) == want
+
+
+def negative_surds():
+    """-(a + b*sqrt(d))/c with a >= 0 and b, c >= 1: below zero."""
+    d = st.integers(2, 10**9).filter(lambda d: math.isqrt(d) ** 2 != d)
+    return st.builds(
+        lambda a, b, d, c: sl.QuadraticSurd(-a, -b, d, c),
+        st.integers(0, 50), st.integers(1, 50), d, st.integers(1, 50),
+    )
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(alpha=st.one_of(periodic_cfs(), negative_surds()))
+def test_range_extremes_set_records_without_comparing(alpha):
+    want = [(n, *sl.permtool.extreme_positions(alpha, n)) for n in range(1, 2001)]
+    for start in (1, 2, 5, 97):
+        assert sl.permtool.range_extremes(alpha, start, 2000) == want[start - 1:]
 
 
 def csv_fields():
