@@ -8,7 +8,6 @@ integral of the permutation order over all slopes.
 
 from .errors import (
     CoefficientsExhausted,
-    InternalInvariantViolation,
     InvalidSlope,
     NotInImage,
     RecurrenceMismatch,

@@ -45,7 +45,3 @@ class SingularParameters(SturmlabError, ValueError):
 
 class WitnessCollision(SturmlabError):
     """Two multiples of a cell witness landed on the same fractional part."""
-
-
-class InternalInvariantViolation(SturmlabError):
-    """An internal construction produced an impossible state; always a bug."""

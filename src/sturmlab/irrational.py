@@ -182,7 +182,6 @@ class IrrationalSlope:
             raise InvalidSlope("refinement budget must be >= 1")
         self._quots: list[int] = []
         self._qiter: Iterator[int] | None = None
-        # convergent recurrence seeds p[-1]/q[-1] = 1/0, p[0]/q[0] = a0/1
         self._convs: list[tuple[int, int]] = []
         self._floors: dict[int, int] = {}
         # floor kernel state at convergent index m: p_m, q_m, q_{m+1}; q_{m+1} = 0
@@ -203,12 +202,7 @@ class IrrationalSlope:
         if self._qiter is None:
             self._qiter = self._quotient_iter()
         while len(self._quots) <= k:
-            try:
-                a = next(self._qiter)
-            except StopIteration:
-                raise CoefficientsExhausted(
-                    f"partial-quotient source ended before index {k}"
-                ) from None
+            a = next(self._qiter, None)
             if a is None:
                 raise CoefficientsExhausted(
                     f"partial-quotient source ended before index {k}"
@@ -224,19 +218,13 @@ class IrrationalSlope:
         """k-th convergent; consecutive convergents bracket the value."""
         if k < 0:
             raise ValueError("convergent index must be >= 0")
-        while len(self._convs) <= k:
-            j = len(self._convs)
-            a = self.partial_quotient(j)
-            if j == 0:
-                self._convs.append((a, 1))
-            elif j == 1:
-                p0, q0 = self._convs[0]
-                self._convs.append((a * p0 + 1, a * q0))
-            else:
-                p1, q1 = self._convs[j - 1]
-                p0, q0 = self._convs[j - 2]
-                self._convs.append((a * p1 + p0, a * q1 + q0))
-        p, q = self._convs[k]
+        convs = self._convs
+        while len(convs) <= k:
+            a = self.partial_quotient(len(convs))
+            # the seeds p_{-2}/q_{-2} = 0/1 and p_{-1}/q_{-1} = 1/0 start the recurrence
+            (p0, q0), (p1, q1) = ([(0, 1), (1, 0)] + convs[-2:])[-2:]
+            convs.append((a * p1 + p0, a * q1 + q0))
+        p, q = convs[k]
         return Convergent(k, p, q)
 
     def _bracket(self, level: int) -> tuple[Fraction, Fraction]:
@@ -393,9 +381,7 @@ class IrrationalSlope:
             raise ValueError("indices must be >= 1")
         if i == j:
             return 0
-        t = self.floor_reduced(i) - self.floor_reduced(j)
-        f1 = self.floor_multiple(1)
-        return self.compare_multiple(i - j, t + (i - j) * f1)
+        return self.compare_multiple(i - j, self.floor_multiple(i) - self.floor_multiple(j))
 
     def expression(self) -> str:
         """Slope expression that parses back to an equal slope."""

@@ -11,6 +11,12 @@ extremes lie among the semiconvergent denominators <= n of the slope
 and O(n) integer steps; :func:`sos_sign_order` reads the sign and the order
 off it for the table and the Farey integral.  :func:`pi_direct`, a
 comparison sort, is kept as the independent route the tests check it against.
+
+B(k), the number of q < k with {q*alpha} < {k*alpha}, is a floor sum:
+{j*alpha} + {(k-j)*alpha} = {k*alpha} + [{j*alpha} > {k*alpha}] summed over
+j < k gives B(k) = 2*sum_{j<k} floor(j*alpha) + (k-1)*(1 - floor(k*alpha)).
+:func:`b_stream` runs its first-difference recurrence along the floor stream;
+:func:`b_alpha`, a direct count, is the tests' oracle.
 """
 from __future__ import annotations
 
@@ -263,38 +269,19 @@ def b_alpha(alpha: IrrationalSlope, k: int) -> int:
 def b_stream(alpha: IrrationalSlope) -> Iterator[tuple[int, int]]:
     """Yield (k, B(k)) for k = 1, 2, ... in O(1) state per step.
 
-    Works on the slope gamma = {alpha} or its reflection 1 - {alpha},
-    whichever lies below 1/2; there the second difference of B depends only
-    on which of [0, g), [g, 2g), [2g, 1) contains {k*g}, which the Sturmian
-    bits of gamma at k and k-1 tell.  Each bit is a difference of consecutive
-    floors of the slope's stream (:meth:`IrrationalSlope.floors`): gamma's
-    bit at k is 1 iff floor(k*alpha) - floor((k-1)*alpha) == inc.  Under the
-    reflection B(k) = k - 1 - B_gamma(k), so the second difference of B
-    changes sign.
+    From B(k) = 2*sum_{j<k} floor(j*alpha) + (k-1)*(1 - floor(k*alpha)),
+    B(k) - B(k-1) = 1 + floor((k-1)*alpha) - (k-1)*(floor(k*alpha) -
+    floor((k-1)*alpha)), starting at B(0) = -1; an integer added to alpha
+    cancels, so it holds for every slope.  One floor of the slope's stream
+    (:meth:`IrrationalSlope.floors`) is read per step, so exactly k floors
+    have been read when k is yielded.
     """
-    floors = alpha.floors()
-    f1 = next(floors)
-    fprev = next(floors)
-    flip = fprev - 2 * f1 == 1  # floor(2{a}) = 1 iff {a} > 1/2
-    inc = f1 if flip else f1 + 1  # floor-difference of a 1 bit of gamma
-    sgn = -1 if flip else 1
-    yield 1, 0
-    b = 0 if flip else 1
-    yield 2, b
-    d = b  # B(k-1) - B(k-2)
-    bit = fprev - f1 == inc  # gamma's bit at k-1
-    k = 3
-    for fk in floors:
-        if fk - fprev == inc:
-            d -= sgn * (k - 1)  # {k g} in [0, g)
-            bit = True
-        elif bit:
-            d += sgn * (k - 1)  # {k g} in [g, 2g)
-            bit = False
-        b += d  # {k g} in [2g, 1) leaves the first difference alone
-        yield k, b
-        fprev = fk
+    b, prev, k = -1, 0, 0  # B(k) and floor(k*alpha) at k = 0
+    for f in alpha.floors():
+        b += 1 + prev - k * (f - prev)  # B(k+1), with f = floor((k+1)*alpha)
         k += 1
+        yield k, b
+        prev = f
 
 
 def rho(n: int, k: int) -> FracPermutation:
@@ -402,6 +389,18 @@ def multiplicative_order(x: int, m: int) -> int:
     return t
 
 
+def _min_modulus(n: int, last: int) -> int:
+    """The least divisor g of last + 1 with (last + 1) / g prime to n.
+
+    Peeling gcd(m, n) off m = last + 1 until none is left leaves the largest
+    divisor of last + 1 prime to n, with no factoring.
+    """
+    m = last + 1
+    while (d := math.gcd(m, n)) > 1:
+        m //= d
+    return (last + 1) // m
+
+
 @dataclass(frozen=True)
 class OrderPrediction:
     """Predicted orders at sizes n-1 and n, from residue arithmetic alone.
@@ -429,11 +428,7 @@ def order_prediction(
         return OrderPrediction("max", t, t)
     if first == n:
         prev = multiplicative_order(-last % n, n)
-        g = next(
-            g
-            for g in range(1, last + 2)
-            if (last + 1) % g == 0 and math.gcd(n, (last + 1) // g) == 1
-        )
+        g = _min_modulus(n, last)
         return OrderPrediction("min", prev, multiplicative_order(-last % (g * n), g * n), g)
     return None
 

@@ -40,37 +40,28 @@ class WordSpec:
             object.__setattr__(self, "intercept", Fraction(self.intercept))
 
 
-def _term_floor(spec: WordSpec, k: int) -> int:
-    """floor(k*{slope} + intercept), exactly; k = 0 terms are rational."""
+def _term(spec: WordSpec, k: int) -> int:
+    """floor(k*{slope} + intercept), or its ceiling for spec.ceiling, exactly.
+
+    ceil(x) = -floor(-x).  With no intercept the term is floor((k+1)*{slope})
+    for both roundings: the ceiling of an irrational is its floor plus one,
+    which no letter sees.
+    """
     alpha = spec.slope
     if spec.intercept is None:
-        # beta = slope: k*a + a = (k+1)*a
         return alpha.floor_reduced(k + 1)
     p, q = spec.intercept.numerator, spec.intercept.denominator
-    if k == 0:
-        return p // q
-    # (k*{a} + p/q) = ((k*q)*a + p - k*q*floor(a)) / q
-    u = k * q
-    return alpha._floor_affine(u, p - u * alpha.floor_multiple(1), q)
-
-
-def _term_ceil(spec: WordSpec, k: int) -> int:
-    alpha = spec.slope
-    if spec.intercept is None:
-        return alpha.floor_reduced(k + 1) + 1  # irrational, so ceil = floor + 1
-    p, q = spec.intercept.numerator, spec.intercept.denominator
-    if k == 0:
-        return -((-p) // q)
-    u = k * q
-    return -alpha._floor_affine(-u, -(p - u * alpha.floor_multiple(1)), q)
+    s = -1 if spec.ceiling else 1
+    # s*(k*{a} + p/q) = (u*a + s*p - u*floor(a)) / q with u = s*k*q
+    u = s * k * q
+    return s * alpha._floor_affine(u, s * p - u * alpha.floor_multiple(1), q)
 
 
 def word_letter(spec: WordSpec, i: int) -> int:
     """Letter i (i >= 0) of the word; always 0 or 1."""
     if i < 0:
         raise ValueError("letter index must be >= 0")
-    term = _term_ceil if spec.ceiling else _term_floor
-    return term(spec, i + 1) - term(spec, i)
+    return _term(spec, i + 1) - _term(spec, i)
 
 
 def word_prefix(spec: WordSpec, length: int) -> list[int]:
@@ -102,40 +93,33 @@ class FactorSet:
     factors: tuple[Factor, ...]
 
 
-def _collect_factors(letters, n: int, cap: int) -> set[Factor]:
+def word_factor_set(spec: WordSpec, n: int) -> FactorSet:
+    """Distinct length-n factors of a word, by sliding-window collection.
+
+    The scan aborts loudly after SCAN_CAP_FACTOR*n^2 positions, which no
+    irrational slope can reach before producing all n+1 factors.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    cap = SCAN_CAP_FACTOR * n * n
     seen: set[Factor] = set()
     window: list[int] = []
     for i in range(cap):
-        window.append(letters(i))
+        window.append(word_letter(spec, i))
         if len(window) > n:
             window.pop(0)
         if len(window) == n:
             seen.add(tuple(window))
             if len(seen) == n + 1:
-                return seen
+                return FactorSet(n, tuple(sorted(seen, reverse=True)))
     raise SafetyCapExceeded(
         f"found only {len(seen)} of {n + 1} factors within {cap} positions"
     )
 
 
-def word_factor_set(spec: WordSpec, n: int, scan_cap: int | None = None) -> FactorSet:
-    """Distinct length-n factors of a word, by sliding-window collection.
-
-    The scan aborts loudly after scan_cap (default 50*n^2) positions, which
-    no irrational slope can reach before producing all n+1 factors.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cap = SCAN_CAP_FACTOR * n * n if scan_cap is None else scan_cap
-    seen = _collect_factors(lambda i: word_letter(spec, i), n, max(cap, n))
-    return FactorSet(n, tuple(sorted(seen, reverse=True)))
-
-
-def factor_set(
-    alpha: IrrationalSlope, n: int, scan_cap: int | None = None
-) -> FactorSet:
+def factor_set(alpha: IrrationalSlope, n: int) -> FactorSet:
     """Distinct length-n factors of the characteristic word of alpha."""
-    return word_factor_set(WordSpec(alpha), n, scan_cap)
+    return word_factor_set(WordSpec(alpha), n)
 
 
 def factor_set_from_perm(pi: FracPermutation) -> FactorSet:

@@ -140,6 +140,20 @@ def test_brange_found_and_missing(run_cli):
     assert json.loads(out)["k"] is None
 
 
+@pytest.mark.parametrize(
+    "target, kmax, k", [("0", "5", 1), ("7", "1", None)], ids=["found", "missing"]
+)
+def test_brange_stopping_at_k_1_reads_one_floor(run_cli, target, kmax, k):
+    # B(1) = 0 needs floor(alpha) alone, so a search that stops at k = 1 has
+    # read exactly one floor
+    rc, out, err = run_cli(
+        ["brange", "--alpha", "phi", "--target", target, "--kmax", kmax, "--format", "json"]
+    )
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["k"], doc["meta"]["floors"]) == (k, 1)
+
+
 def test_congruence_csv(run_cli):
     rc, out, err = run_cli(
         ["congruence", "--a", "phi", "--b", "(3-1*sqrt(5))/2", "--n", "9"]
@@ -191,9 +205,9 @@ def test_congruence_builds_each_factor_set_once(run_cli, monkeypatch):
     calls = []
     real = sturmian.factor_set
 
-    def counting(alpha, n, scan_cap=None):
+    def counting(alpha, n):
         calls.append(n)
-        return real(alpha, n, scan_cap)
+        return real(alpha, n)
 
     monkeypatch.setattr(sturmian, "factor_set", counting)
     monkeypatch.setattr(farey, "factor_set", counting)

@@ -282,6 +282,24 @@ def test_order_prediction_matches_direct(named_slope):
     assert applicable > 0
 
 
+def scanned_min_modulus(n, last):
+    """The "min" case's g by scanning every candidate: the peel's oracle."""
+    return next(
+        g for g in range(1, last + 2) if (last + 1) % g == 0 and math.gcd(n, (last + 1) // g) == 1
+    )
+
+
+def test_min_modulus_equals_scan():
+    for n in range(2, 400):
+        for last in range(1, n + 1):
+            assert sl.permtool._min_modulus(n, last) == scanned_min_modulus(n, last), (n, last)
+    rng = random.Random(8191)
+    for _ in range(20000):
+        n = rng.randrange(2, 10**6)
+        last = rng.randint(1, n)
+        assert sl.permtool._min_modulus(n, last) == scanned_min_modulus(n, last), (n, last)
+
+
 def test_order_prediction_spot_values():
     e = sl.EulerE()
     pred = sl.order_prediction(e, 71)

@@ -81,6 +81,20 @@ def test_b_stream_equals_direct_count_and_floor_identity(alpha):
         floor_sum += fk
 
 
+@settings(max_examples=30, deadline=None, database=None)
+@given(alpha=slopes, picks=st.lists(st.integers(1, 2 * 10**4), min_size=1, max_size=5))
+def test_b_stream_equals_position_of_k_in_pi_sos(alpha, picks):
+    # B(k) counts the points below {k*alpha} among the first k, so it is the
+    # 0-based position of k in the ordering of size k; no floor sum involved
+    ks, m = set(picks), 0
+    while (q := alpha.convergent(m).q) <= 2 * 10**4:
+        ks.update(k for k in (q - 1, q, q + 1) if k >= 1)
+        m += 1
+    want = {k: sl.pi_sos(alpha, k).one_line.index(k) for k in ks}
+    got = {k: b for k, b in islice(sl.b_stream(alpha), max(ks)) if k in ks}
+    assert got == want
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(alpha=slopes, m=st.integers(1, 300))
 def test_sign_formula_equals_sign_of_sorted_order(alpha, m):

@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp
 
 import sturmlab as sl
+from sturmlab import sturmian
 from sturmlab.selftest import FACTORS_INV_E_6, WORD_PREFIX_INV_E
 from conftest import MP_VALUES, make_slope, mp_floor
 
@@ -48,6 +49,17 @@ def test_ceiling_word_letters_match_numeric_ceils():
         assert letter == want
 
 
+def test_integer_intercept_sets_the_first_ceiling_letter():
+    # floor and ceiling words differ only where a term is an integer: with an
+    # integer intercept that is the term at i = 0, so only letter 0 differs
+    alpha = make_slope("phi")
+    for beta in (0, -3):
+        floor_word = sl.word_prefix(sl.WordSpec(alpha, intercept=beta), 50)
+        ceil_word = sl.word_prefix(sl.WordSpec(alpha, intercept=beta, ceiling=True), 50)
+        assert (floor_word[0], ceil_word[0]) == (0, 1)
+        assert floor_word[1:] == ceil_word[1:]
+
+
 def test_factor_count_is_n_plus_one(named_slope):
     name, alpha = named_slope
     for n in (1, 2, 3, 5, 8, 13, 21):
@@ -84,10 +96,10 @@ def test_factor_set_from_perm_agrees_with_word_route(named_slope):
         assert via_word.factors == via_perm.factors
 
 
-def test_scan_cap_raises_when_too_small():
-    alpha = make_slope("phi")
+def test_scan_cap_raises_when_too_small(monkeypatch):
+    monkeypatch.setattr(sturmian, "SCAN_CAP_FACTOR", 0)
     with pytest.raises(sl.SafetyCapExceeded):
-        sl.factor_set(alpha, 12, scan_cap=13)
+        sl.factor_set(make_slope("phi"), 12)
 
 
 def test_word_letter_single_positions():
