@@ -191,7 +191,7 @@ def cmd_factors(args):
 
 
 def cmd_matrix(args):
-    rows = [list(r) for r in matrep.m_from_alpha(_slope(args), args.n).entries]
+    rows = matrep.m_from_alpha(_slope(args), args.n).entries
     header = [f"c{j}" for j in range(1, args.n + 1)]
     return header, rows, {"alpha": args.alpha, "n": args.n, "rows": rows}
 
@@ -278,13 +278,9 @@ def cmd_brange(args):
 
 
 def cmd_congruence(args):
-    a = _slope(args, "a")
-    b = _slope(args, "b")
-    fa = sturmian.factor_set(a, args.n).factors
-    fb = sturmian.factor_set(b, args.n).factors
-    congruent = farey.factors_congruent(fa, fb)
-    equal = fa == fb
-    complement = fa == farey.complement_factors(fb)
+    a, b = _slope(args, "a"), _slope(args, "b")
+    equal, complement = farey.factor_relation(a, b, args.n)
+    congruent = farey.congruence_test(a, b, args.n)
     doc = {
         "a": args.a,
         "b": args.b,

@@ -16,8 +16,9 @@ from typing import Iterator
 
 from .errors import RecurrenceMismatch, WitnessCollision
 from .irrational import IrrationalSlope
-from .permtool import FracPermutation, _sign_walk, b_stream, sos_line, sos_sign_order
-from .sturmian import factor_set
+from .permtool import (
+    FracPermutation, _sign_walk, b_stream, extreme_positions, pi_sos, sos_line, sos_sign_order
+)
 
 
 @dataclass(frozen=True)
@@ -162,14 +163,20 @@ def b_range_search(alpha: IrrationalSlope, target: int, k_max: int) -> int | Non
             return None
 
 
-def _hamming_matrix(points: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    # 0/1 vertices: squared euclidean distance is the number of differing bits
-    m = len(points)
-    dist = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            h = sum(x != y for x, y in zip(points[i], points[j]))
-            dist[i][j] = dist[j][i] = h
+def _factor_distances(line: tuple[int, ...]) -> list[list[int]]:
+    """Squared distances between the factors, the 0/1 columns of L, from pi.
+
+    Columns j < j' of L differ at row m exactly when one of m - 1, m lies in
+    pi({j+1..j'}), so adding x = pi(j'+1) moves rows x and x + 1 (if x < n) by +-1.
+    """
+    n = len(line)
+    dist = [[0] * (n + 1) for _ in range(n + 1)]
+    for j in range(n):
+        inside, d, row = bytearray(n + 2), 0, dist[j]
+        for t, x in enumerate(line[j:], j + 1):
+            inside[x] = 1
+            d += 2 - 2 * (inside[x - 1] + inside[x + 1]) - (x == n)
+            row[t] = dist[t][j] = d
     return dist
 
 
@@ -200,19 +207,26 @@ def _isometry_exists(da: list[list[int]], db: list[list[int]]) -> bool:
     return backtrack(0)
 
 
-def congruence_test(alpha: IrrationalSlope, beta: IrrationalSlope, n: int) -> bool:
-    """Whether the two factor simplices at size n are congruent."""
-    return factors_congruent(factor_set(alpha, n).factors, factor_set(beta, n).factors)
+def factor_relation(alpha: IrrationalSlope, beta: IrrationalSlope, n: int) -> tuple[bool, bool]:
+    """(equal, complementary): how the length-n factor sets of the slopes relate.
 
-
-def factors_congruent(va: tuple[tuple[int, ...], ...], vb: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether the simplices with vertex sets va and vb are congruent.
-
-    Vertices are 0/1 vectors, so all squared distances are integers and
-    congruence reduces to a distance-preserving vertex bijection, found by
-    backtracking with per-vertex distance-profile pruning.
+    The sets are the columns of L, built by the Sos recurrence from the extremes
+    (first, last) alone; 1 - alpha has the complements and swapped extremes.
     """
-    return _isometry_exists(_hamming_matrix(va), _hamming_matrix(vb))
+    ea, eb = extreme_positions(alpha, n), extreme_positions(beta, n)
+    return ea == eb, ea == eb[::-1]
+
+
+def congruence_test(alpha: IrrationalSlope, beta: IrrationalSlope, n: int) -> bool:
+    """Whether the two factor simplices at size n are congruent.
+
+    Equal or complementary factor sets (:func:`factor_relation`) are; else a
+    vertex bijection keeping the squared distances (:func:`_factor_distances`)
+    is sought by backtracking with per-vertex distance-profile pruning.
+    """
+    return any(factor_relation(alpha, beta, n)) or _isometry_exists(
+        *(_factor_distances(pi_sos(x, n).one_line) for x in (alpha, beta))
+    )
 
 
 def complement_factors(factors: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:

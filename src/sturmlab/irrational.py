@@ -174,8 +174,6 @@ def _cf_quotients(
 class IrrationalSlope:
     """Base class: exact floors, comparisons and rational bracketing."""
 
-    kind = "abstract"
-
     def __init__(self, budget: int | None = None):
         self.budget = DEFAULT_BUDGET if budget is None else int(budget)
         if self.budget < 1:
@@ -398,8 +396,6 @@ class QuadraticSurd(IrrationalSlope):
     quotients; floors of multiples use the shared convergent kernel.
     """
 
-    kind = "quadratic"
-
     def __init__(self, a: int, b: int, d: int, c: int, budget: int | None = None):
         super().__init__(budget)
         if c == 0:
@@ -429,8 +425,6 @@ class QuadraticSurd(IrrationalSlope):
 class EulerE(IrrationalSlope):
     """Euler's number via its partial-quotient pattern [2; 1,2,1, 1,4,1, ...]."""
 
-    kind = "e"
-
     def _quotient_iter(self) -> Iterator[int]:
         return _e_quotients()
 
@@ -440,8 +434,6 @@ class EulerE(IrrationalSlope):
 
 class EulerEInv(IrrationalSlope):
     """1/e: the reciprocal prepends a zero quotient to e's expansion."""
-
-    kind = "1/e"
 
     def _quotient_iter(self) -> Iterator[int]:
         return itertools.chain((0,), _e_quotients())
@@ -457,8 +449,6 @@ class ExplicitCF(IrrationalSlope):
     a_k for k >= len(initial) and may return None to signal exhaustion.
     Omitting both would denote a rational, which is rejected.
     """
-
-    kind = "cf"
 
     def __init__(
         self,

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sturmlab.cli
-from sturmlab import farey, permtool, sturmian
+from sturmlab import permtool, sturmian
 
 SNAPSHOTS = Path(__file__).with_name("snapshots")
 SNAPSHOT_SLOPES = {"phi": "phi", "e": "e", "lq": "cf:[0;2,32003,...]"}
@@ -201,19 +201,37 @@ def test_readme_example_json_is_real_output(run_cli, monkeypatch):
     assert out == shown
 
 
-def test_congruence_builds_each_factor_set_once(run_cli, monkeypatch):
+@pytest.mark.parametrize(
+    "a, b", [("phi", "(3-1*sqrt(5))/2"), ("e", "phi")], ids=["complement", "unrelated"]
+)
+def test_congruence_builds_no_factor_set(run_cli, monkeypatch, a, b):
+    # congruence reads only the two orderings: no factor set, no word letter
     calls = []
-    real = sturmian.factor_set
+    for name in ("factor_set", "word_letter"):
+        real = getattr(sturmian, name)
+        monkeypatch.setattr(
+            sturmian, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    rc, out, err = run_cli(["congruence", "--a", a, "--b", b, "--n", "9"])
+    assert rc == 0, err
+    assert calls == []
 
-    def counting(alpha, n):
-        calls.append(n)
-        return real(alpha, n)
 
-    monkeypatch.setattr(sturmian, "factor_set", counting)
-    monkeypatch.setattr(farey, "factor_set", counting)
-    rc, out, err = run_cli(["congruence", "--a", "phi", "--b", "(3-1*sqrt(5))/2", "--n", "9"])
-    assert rc == 0
-    assert calls == [9, 9]
+@pytest.mark.parametrize(
+    "a, b, n, row",
+    [
+        ("cf:[0;2,5000,...]", "cf:[1;2,5000,...]", "3", "3,1,1,0"),
+        ("cf:[0;3000,1,...]", "cf:[1;3000,1,...]", "5", "5,1,1,0"),
+        ("cf:[0;2,5000,...]", "cf:[0;3000,1,...]", "40", "40,0,0,0"),
+    ],
+    ids=["near_half", "near_zero", "unrelated"],
+)
+def test_congruence_on_large_quotient_slopes(run_cli, a, b, n, row):
+    # the window scan stopped at its cap on these slopes before finding every
+    # factor; the orderings need no scan
+    rc, out, err = run_cli(["congruence", "--a", a, "--b", b, "--n", n])
+    assert rc == 0, err
+    assert out == f"n,congruent,factors_equal,factors_complement\n{row}\n"
 
 
 @pytest.mark.parametrize("slope", sorted(SNAPSHOT_SLOPES))

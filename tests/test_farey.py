@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import sturmlab as sl
+from sturmlab import farey
 from conftest import MP_VALUES, make_slope
 
 
@@ -263,3 +264,51 @@ def test_sign_sum_budget_fails_where_the_stream_fails(upto):
         else:
             sl.sign_sum(reduced, upto)
             assert reduced.stats == streamed.stats
+
+
+def test_factor_distances_are_the_hamming_distances_of_the_factors():
+    for n in range(1, 25):
+        for cell in sl.farey_cells(n):
+            pi = sl.perm_on_cell(cell, n)
+            fs = sl.factor_set_from_perm(pi).factors
+            hamming = [[sum(map(int.__ne__, u, v)) for v in fs] for u in fs]
+            assert farey._factor_distances(pi.one_line) == hamming, (n, cell)
+
+
+def test_factor_relation_matches_the_window_scan():
+    pool = [
+        make_slope("phi"),
+        make_slope("1/e"),
+        make_slope("e"),
+        make_slope("sqrt2-1"),
+        sl.QuadraticSurd(3, -1, 5, 2),  # 1 - {phi}
+        sl.QuadraticSurd(-1, -1, 5, 2),  # -(1 + sqrt(5))/2, the same fractional part
+        sl.QuadraticSurd(0, -1, 2, 1),  # -sqrt(2): 1 - {sqrt(2)}
+        sl.QuadraticSurd(-2, 1, 13, 4),
+        sl.ExplicitCF([0, 1], repeat=[1]),  # phi
+        sl.ExplicitCF([1, 1], repeat=[1]),  # 1 + phi
+        sl.ExplicitCF([0, 3], repeat=[1, 2]),
+        sl.ExplicitCF([1, 2], repeat=[3, 1]),
+        sl.ExplicitCF([0], repeat=[2, 1]),
+    ]
+    seen = set()
+    for n in (1, 2, 3, 5, 8, 13, 20):
+        scans = [sl.factor_set(x, n).factors for x in pool]
+        for i, alpha in enumerate(pool):
+            for j, beta in enumerate(pool):
+                want = scans[i] == scans[j], scans[i] == sl.complement_factors(scans[j])
+                assert farey.factor_relation(alpha, beta, n) == want, (n, i, j)
+                if n > 1 and i != j:
+                    seen.add(want)
+    assert seen == {(True, False), (False, True), (False, False)}
+
+
+def test_only_equal_or_complementary_factor_sets_are_congruent():
+    # the congruence conjecture of c14 on every pair of order-n cells: equal
+    # factor sets have equal orderings, complementary ones reversed orderings
+    for n in range(1, 17):
+        lines = [sl.perm_on_cell(cell, n).one_line for cell in sl.farey_cells(n)]
+        dists = [farey._factor_distances(line) for line in lines]
+        for la, da in zip(lines, dists):
+            for lb, db in zip(lines, dists):
+                assert farey._isometry_exists(da, db) == (lb in (la, la[::-1])), (n, la, lb)
