@@ -6,15 +6,25 @@ k = b and the greatest at k = d, so integrating its order over (0, 1) is an
 exact sum of Sos orders over the coprime pairs b, d <= n < b + d.  The cells
 and the sort at a mediant (:func:`farey_cells`, :func:`perm_on_cell`,
 :func:`cell_containing`) are kept as oracles.
+
+The scans over sizes need no cell.  :func:`sign_sum` folds the signs along
+the floor line.  :func:`b_range_search` finds the least k with B(k) = T by
+walking the size-n ordering from its least point, one doubling block of k
+at a time: B(i) is the number of j < i met before i, and a walk can stop
+once more than T indices below the block have been met.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator
 
-from .errors import RecurrenceMismatch, WitnessCollision
+from .errors import (
+    CoefficientsExhausted, RecurrenceMismatch, RefinementBudgetExceeded, WitnessCollision
+)
 from .irrational import IrrationalSlope
 from .permtool import (
     FracPermutation, _sign_walk, b_stream, extreme_positions, pi_sos, sos_line, sos_sign_order
@@ -148,15 +158,65 @@ def sign_sum(alpha: IrrationalSlope, upto: int) -> tuple[int, int]:
     return total, peak
 
 
+def _block_hits(alpha: IrrationalSlope, target: int, k0: int, n: int) -> list[int] | None:
+    """The k in k0..n with B(k) == target, or None when the walk gives up.
+
+    The walk reads the size-n ordering from rank 1.  Every j < i <= n is in
+    it, so B(i) is the number of j < i visited before i: below, the visited
+    indices under k0, plus those in k0..i-1.  Once below > target every index
+    not yet visited has B > target.  None when that takes over 8*(target + 1)
+    ranks.
+    """
+    below, seen, hits = 0, [], []
+    for i in sos_line(n, *extreme_positions(alpha, n), 8 * (target + 1)):
+        if i < k0:
+            below += 1
+            if below > target:
+                return hits
+        else:
+            at = bisect_left(seen, i)
+            if below + at == target:
+                hits.append(i)
+            seen.insert(at, i)
+    return None
+
+
 def b_range_search(alpha: IrrationalSlope, target: int, k_max: int) -> int | None:
     """Least k <= k_max with B(k) == target, or None.
 
-    Streams the incremental recurrence, so memory stays O(1) even for scans
-    into the tens of millions.
+    The k below 16*(target + 1) come from :func:`b_stream`; then each block
+    k0..min(2*k0 - 1, k_max) is searched by :func:`_block_hits`, about
+    2*(target + 1) ranks for a slope of bounded partial quotients, so a
+    search takes O(target * log k_max) steps.  A block the walk gives up on,
+    or whose floor line raises, sends the search back to the stream, which
+    reads on from where it stopped: the answer and the k that raises are the
+    stream's.  A negative target, or a k_max no larger than 16*(target + 1),
+    is streamed throughout.  stats["floors"] counts the streamed floors and
+    those that :func:`extreme_positions` reads.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    for k, b in b_stream(alpha):
+    stream = b_stream(alpha)
+    k0 = 16 * (target + 1)
+    if 0 <= target and k0 < k_max:
+        for k, b in islice(stream, k0 - 1):
+            if b == target:
+                return k
+        while k0 <= k_max:
+            n = min(2 * k0 - 1, k_max)
+            try:
+                alpha.floor_line(n)
+            except (RefinementBudgetExceeded, CoefficientsExhausted):
+                break
+            hits = _block_hits(alpha, target, k0, n)
+            if hits is None:
+                break
+            if hits:
+                return min(hits)
+            k0 = n + 1
+        else:
+            return None
+    for k, b in stream:
         if b == target:
             return k
         if k >= k_max:

@@ -190,19 +190,20 @@ def range_extremes(alpha: IrrationalSlope, start: int, end: int) -> list[tuple[i
     return rows
 
 
-def sos_line(n: int, first: int, last: int) -> list[int]:
+def sos_line(n: int, first: int, last: int, length: int | None = None) -> list[int]:
     """The three-distance (Sos) recurrence from first, as a one-line list.
 
     With first and last the indices of the least and the greatest {k*alpha},
     the index after k is k + first when k + first <= n, else k - last when
     k > last, else k + first - last.  Every 1 <= first, last <= n keeps each
     index in 1..n; other pairs may repeat an index or not end at last.
+    A length, if given, stops the list after its first length ranks.
     """
     line = [first]
     add = line.append
     k = first
     low, up, step = n - first, min(n - first, last), first - last
-    for _ in range(n - 1):
+    for _ in range((n if length is None else length) - 1):
         if k <= up:
             k += first
         elif k <= last:

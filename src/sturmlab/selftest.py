@@ -145,15 +145,15 @@ def run(seed: int = 0, report=print) -> int:
     ok, detail = True, ""
     for expr in ("e", "phi", "cf:[0;2,5000,...]"):
         alpha, stream = parse_slope(expr), parse_slope(expr).floors(2, 2)
-        cur = total = peak = 1  # size 1
+        cur = running = peak = 1  # size 1
         for n in range(2, 3001):
             if n % 2 == 0 and next(stream) & 1:
                 cur = -cur
-            total += cur
-            peak = max(peak, abs(total))
+            running += cur
+            peak = max(peak, abs(running))
             got = farey.sign_sum(alpha, n)
-            if got != (total, peak):
-                ok, detail = False, f"{expr}, N={n}: got {got}, want {(total, peak)}"
+            if got != (running, peak):
+                ok, detail = False, f"{expr}, N={n}: got {got}, want {(running, peak)}"
                 break
         if not ok:
             break
@@ -165,6 +165,22 @@ def run(seed: int = 0, report=print) -> int:
             ok, detail = False, f"k={k}: got {bk}, want {want}"
             break
     check("bstream-1/e-200", ok, detail)
+    # the block walk against the first hits along the stream, at targets the
+    # stream prefix misses; the large quotient makes the walk give up
+    ok, detail = True, ""
+    for expr in ("e", "1/e", "cf:[0;1,100000,...]"):
+        first = {}
+        for k, bk in itertools.islice(permtool.b_stream(parse_slope(expr)), 20000):
+            first.setdefault(bk, k)
+        late = [t for t in range(400) if first.get(t, 20001) >= 16 * (t + 1)]
+        for target in late[:10]:
+            got = farey.b_range_search(parse_slope(expr), target, 20000)
+            if got != first.get(target):
+                ok, detail = False, f"{expr}, T={target}: got {got}, want {first.get(target)}"
+                break
+        if not ok:
+            break
+    check("brange-walk-vs-stream", ok, detail)
 
     check("integral-1", farey.exact_integral(1).value == 1)
     check("integral-2", farey.exact_integral(2).value == Fraction(3, 2))

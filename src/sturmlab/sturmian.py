@@ -96,8 +96,10 @@ class FactorSet:
 def word_factor_set(spec: WordSpec, n: int) -> FactorSet:
     """Distinct length-n factors of a word, by sliding-window collection.
 
-    The scan aborts loudly after SCAN_CAP_FACTOR*n^2 positions, which no
-    irrational slope can reach before producing all n+1 factors.
+    The scan raises SafetyCapExceeded after SCAN_CAP_FACTOR*n^2 positions
+    without all n+1 factors.  A large partial quotient spaces the rare
+    factors further apart than that: cf:[0;2,5000,...] reaches the cap at
+    n = 3 and cf:[0;3000,1,...] at n = 5, although both slopes are valid.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

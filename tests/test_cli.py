@@ -154,6 +154,44 @@ def test_brange_stopping_at_k_1_reads_one_floor(run_cli, target, kmax, k):
     assert (doc["k"], doc["meta"]["floors"]) == (k, 1)
 
 
+def test_brange_to_10_30_walks_blocks(run_cli):
+    # B(k) = 23 first at k = 508 423 122 (checked once along the full stream);
+    # the blocks reach it without streaming past k = 16*24
+    rc, out, err = run_cli(
+        ["brange", "--alpha", "1/e", "--target", "23", "--kmax", str(10**30), "--format", "json"]
+    )
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["k"] == 508_423_122
+    assert doc["meta"]["floors"] < 1000
+
+
+def streamed_brange_output(alpha, target, k_max):
+    """What brange printed when it streamed every k: its CSV row or its error line."""
+    try:
+        for k, b in sturmlab.b_stream(alpha):
+            if b == target or k >= k_max:
+                break
+    except sturmlab.RefinementBudgetExceeded as exc:
+        return "", f"error[RefinementBudgetExceeded]: {exc}\n"
+    return f"target,kmax,k\n{target},{k_max},{k if b == target else 'none'}\n", ""
+
+
+@pytest.mark.parametrize(
+    "target", ["15", "25", "23"], ids=["walked_block", "raising_block", "past_the_horizon"]
+)
+def test_brange_under_a_budget_answers_as_the_stream(run_cli, target):
+    # with budget 10 the floors of 1/e end at k = 23224, below kmax: B(k) = 15
+    # first at k = 1930, in a walked block; B(k) = 25 at k = 22154, in a block
+    # whose floor line raises; B(k) = 23 not before the horizon
+    rc, out, err = run_cli(
+        ["brange", "--alpha", "1/e", "--target", target, "--kmax", "1000000", "--budget", "10"]
+    )
+    want = streamed_brange_output(sturmlab.EulerEInv(budget=10), int(target), 1000000)
+    assert (out, err) == want
+    assert rc == (1 if err else 0)
+
+
 def test_congruence_csv(run_cli):
     rc, out, err = run_cli(
         ["congruence", "--a", "phi", "--b", "(3-1*sqrt(5))/2", "--n", "9"]
@@ -452,3 +490,10 @@ def test_selftest_passes(run_cli):
     assert rc == 0
     assert "FAIL" not in out
     assert out.strip().endswith("checks passed")
+
+
+def test_selftest_counts_every_check(run_cli):
+    rc, out, err = run_cli(["selftest"])
+    lines = out.splitlines()
+    passed = sum(line.startswith("PASS ") for line in lines)
+    assert lines[-1] == f"OK: {passed}/{passed} checks passed"

@@ -205,6 +205,25 @@ def test_b_range_search_returns_none_when_absent():
     assert sl.b_range_search(make_slope("phi"), 10**9, 500) is None
 
 
+@pytest.mark.parametrize("target", [15, 23, 25])
+def test_b_range_search_on_an_exhausted_tail_answers_as_the_stream(target):
+    # 1/e's quotients to a_12 and no more: the floors end below k = 23225, in
+    # the block of B(k) = 25's first hit at k = 22154; B(k) = 23 comes later
+    def outcome(search):
+        alpha = sl.ExplicitCF([0, 2, 1, 2, 1, 1, 4, 1, 1, 6, 1, 1, 8], tail=lambda k: None)
+        try:
+            return search(alpha)
+        except sl.CoefficientsExhausted as exc:
+            return str(exc)
+
+    def streamed(alpha):
+        for k, b in sl.b_stream(alpha):
+            if b == target or k >= 10**6:
+                return k if b == target else None
+
+    assert outcome(lambda alpha: sl.b_range_search(alpha, target, 10**6)) == outcome(streamed)
+
+
 def test_congruence_reflexive_and_symmetric():
     phi_a, phi_b = make_slope("phi"), make_slope("phi")
     for n in (3, 6, 10):

@@ -44,23 +44,27 @@ def test_floor_stream_equals_kernel_on_periodic_cfs(a0, head, block, start, step
     assert got == [kernel.floor_multiple(start + i * step) for i in range(300)]
 
 
-def periodic_cfs():
-    """Periodic CFs with a pre-period, partial quotients up to 10^5."""
+def periodic_cfs(block_max=10**5):
+    """Periodic CFs with a pre-period, partial quotients up to 10^5 (block_max in the block)."""
     return st.builds(
         lambda a0, head, block: sl.ExplicitCF([a0, *head, *block], repeat=block),
         st.integers(-3, 3),
         st.lists(st.integers(1, 10**5), max_size=3),
-        st.lists(st.integers(1, 10**5), min_size=1, max_size=4),
+        st.lists(st.integers(1, block_max), min_size=1, max_size=4),
     )
 
 
-def surds():
-    """(a + b*sqrt(d))/c; d = m^2 + r gives partial quotients near 2m <= 10^5."""
-    d = st.one_of(
-        st.integers(2, 10**9),
-        st.builds(lambda m, r: m * m + r, st.integers(2, 5 * 10**4), st.sampled_from((-1, 1, 2))),
-    ).filter(lambda d: math.isqrt(d) ** 2 != d)
+def surds(d=None):
+    """(a + b*sqrt(d))/c; by default d = m^2 + r gives partial quotients near 2m <= 10^5."""
+    if d is None:
+        d = st.one_of(
+            st.integers(2, 10**9),
+            st.builds(
+                lambda m, r: m * m + r, st.integers(2, 5 * 10**4), st.sampled_from((-1, 1, 2))
+            ),
+        )
     nonzero = st.integers(-50, 50).filter(bool)
+    d = d.filter(lambda d: math.isqrt(d) ** 2 != d)
     return st.builds(sl.QuadraticSurd, st.integers(-50, 50), nonzero, d, nonzero)
 
 
@@ -93,6 +97,43 @@ def test_b_stream_equals_position_of_k_in_pi_sos(alpha, picks):
     want = {k: sl.pi_sos(alpha, k).one_line.index(k) for k in ks}
     got = {k: b for k, b in islice(sl.b_stream(alpha), max(ks)) if k in ks}
     assert got == want
+
+
+def streamed_first_hits(alpha, k_max):
+    """{T: the least k <= k_max with B(k) == T} along b_stream: the walk's oracle."""
+    first = {}
+    for k, b in islice(sl.b_stream(alpha), k_max):
+        first.setdefault(b, k)
+    return first
+
+
+# small quotients in the periodic block and surds of small d, where the walk
+# stays short (a pre-period may still hold a quotient up to 10^5), and large
+# quotients, where the target is hit early or the walk gives up
+walk_slopes = st.one_of(
+    periodic_cfs(block_max=6),
+    surds(st.integers(2, 1000)),
+    st.sampled_from(("e", "1/e", "cf:[0;2,5000,...]", "cf:[0;3000,1,...]", "cf:[0;1,100000,...]"))
+    .map(sl.parse_slope),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    alpha=walk_slopes,
+    target=st.integers(0, 400),
+    k_max=st.one_of(st.integers(1, 20_000), st.integers(10_000, 20_000)),
+    late=st.booleans(),
+)
+def test_b_range_search_equals_the_streamed_first_hit(alpha, target, k_max, late):
+    first = streamed_first_hits(copy.deepcopy(alpha), k_max)
+    if late:  # most targets are hit below 16*(T + 1); pick one the blocks decide
+        targets = [t for t in range(401) if first.get(t, k_max + 1) >= 16 * (t + 1)]
+        target = targets[target % len(targets)] if targets else target
+    k = sl.b_range_search(copy.deepcopy(alpha), target, k_max)
+    assert k == first.get(target)
+    if k is not None and k >= 16 * (target + 1):  # a hit of the walk
+        assert sl.b_alpha(alpha, k) == target
 
 
 @settings(max_examples=60, deadline=None, database=None)
