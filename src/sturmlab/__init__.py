@@ -37,6 +37,7 @@ from .irrational import (
     ExplicitCF,
     IrrationalSlope,
     QuadraticSurd,
+    floor_sum,
     parse_slope,
     phi,
 )

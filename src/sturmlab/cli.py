@@ -172,7 +172,7 @@ def _run_to_file(args) -> int:
 def _sizes(args) -> range:
     """The sizes --from..--to of table and integral."""
     if not 1 <= args.start <= args.end:
-        raise SturmlabError(f"bad range {args.start}..{args.end}")
+        raise ValueError(f"bad range {args.start}..{args.end}")
     return range(args.start, args.end + 1)
 
 

@@ -11,7 +11,11 @@ The scans over sizes need no cell.  :func:`sign_sum` folds the signs along
 the floor line.  :func:`b_range_search` finds the least k with B(k) = T by
 walking the size-n ordering from its least point, one doubling block of k
 at a time: B(i) is the number of j < i met before i, and a walk can stop
-once more than T indices below the block have been met.
+once more than T indices below the block have been met.  A range the walk
+leaves, for a large T or a large partial quotient, is searched along the
+floor line instead: B moves by a fixed step along each residue class mod
+q_m, and likewise mod q_{m-1} below q_m, so one division decides each
+progression (:func:`_progression_hit`).
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from typing import Iterator
 from .errors import (
     CoefficientsExhausted, RecurrenceMismatch, RefinementBudgetExceeded, WitnessCollision
 )
-from .irrational import IrrationalSlope
+from .irrational import IrrationalSlope, floor_sum
 from .permtool import (
     FracPermutation, _sign_walk, b_stream, extreme_positions, pi_sos, sos_line, sos_sign_order
 )
@@ -181,24 +185,74 @@ def _block_hits(alpha: IrrationalSlope, target: int, k0: int, n: int) -> list[in
     return None
 
 
+def _convergent_below(alpha: IrrationalSlope) -> tuple[int, int]:
+    """(p, q) of the convergent one index below the slope's floor line; 1/0 at index 0."""
+    m = alpha._m
+    return alpha._convs[m - 1] if m else (1, 0)
+
+
+def _least_root(c: int, g: int, lo: int, hi: int, target: int) -> int | None:
+    """Least u in lo..hi with c + g*u == target, or None."""
+    if g:
+        u, rem = divmod(target - c, g)
+        return u if not rem and lo <= u <= hi else None
+    return lo if c == target and lo <= hi else None
+
+
+def _progression_hit(alpha: IrrationalSlope, target: int, k_lo: int, k_max: int) -> int | None:
+    """Least k in k_lo..k_max with B(k) == target, or None, off two floor lines.
+
+    On the line (p, r, q) of index m to k_max, B(x + q) = B(x) + D(x) with
+    D(x) = (x*p + r) % q + r + 1, and likewise B(x + q') = B(x) + D'(x) for
+    x + q' < q on the line of the convergent p'/q' below.  So k = s + u*q' +
+    t*q, with s <= q' and s + u*q' < q, has B(k) = B(s) + u*D'(s) +
+    t*D(s + u*q').  As q'*p = e (mod q) with e = -1 - 2r = +-1, the residue
+    in D moves by e per u, and it never wraps: the residues of x = 1..q-1
+    miss only r % q.  So for each s and t, B is affine in u, and one division
+    solves it.  The multiples j*q have B(j*q) = B(q) + (j - 1)*D(q).  Streams
+    the q' floors of the B(s).
+    """
+    p, r, q = alpha.floor_line(k_max)
+    p1, q1 = _convergent_below(alpha)
+    e, r1 = -1 - 2 * r, -1 - r
+    b = 2 * floor_sum(q - 1, q, p, p + r) + (q - 1) * (1 - (q * p + r) // q)
+    u = _least_root(b, r % q + r + 1, -(-k_lo // q) - 1, k_max // q - 1, target)
+    best = k_max + 1 if u is None else (u + 1) * q
+    for s, bs in islice(b_stream(alpha), q1):
+        d1, rho = (s * p1 + r1) % q1 + r1 + 1, (s * p + r) % q
+        for t in range(max(0, (k_lo - 1) // q), k_max // q + 1):
+            base = s + t * q
+            if base > best:
+                break
+            lo = max(0, -((base - k_lo) // q1))
+            hi = (min((t + 1) * q - 1, k_max) - base) // q1
+            u = _least_root(bs + t * (rho + r + 1), d1 + e * t, lo, hi, target)
+            if u is not None:
+                best = min(best, base + u * q1)
+    return best if best <= k_max else None
+
+
 def b_range_search(alpha: IrrationalSlope, target: int, k_max: int) -> int | None:
     """Least k <= k_max with B(k) == target, or None.
 
     The k below 16*(target + 1) come from :func:`b_stream`; then each block
     k0..min(2*k0 - 1, k_max) is searched by :func:`_block_hits`, about
     2*(target + 1) ranks for a slope of bounded partial quotients, so a
-    search takes O(target * log k_max) steps.  A block the walk gives up on,
-    or whose floor line raises, sends the search back to the stream, which
-    reads on from where it stopped: the answer and the k that raises are the
-    stream's.  A negative target, or a k_max no larger than 16*(target + 1),
-    is streamed throughout.  stats["floors"] counts the streamed floors and
+    search takes O(target * log k_max) steps.  A negative target, a k_max no
+    larger than 16*(target + 1), or a block the walk gives up on leaves the
+    rest of the range, k0..k_max, to :func:`_progression_hit` when its loops
+    take at most k_max/8 steps; else, or when the floor line to k_max raises,
+    the stream reads on from where it stopped, so the answer and the k that
+    raises are the stream's.  stats["floors"] counts the streamed floors and
     those that :func:`extreme_positions` reads.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     stream = b_stream(alpha)
     k0 = 16 * (target + 1)
-    if 0 <= target and k0 < k_max:
+    if target < 0 or k0 >= k_max:
+        k0 = 1
+    else:
         for k, b in islice(stream, k0 - 1):
             if b == target:
                 return k
@@ -216,6 +270,12 @@ def b_range_search(alpha: IrrationalSlope, target: int, k_max: int) -> int | Non
             k0 = n + 1
         else:
             return None
+    try:
+        q = alpha.floor_line(k_max)[2]
+    except (RefinementBudgetExceeded, CoefficientsExhausted):
+        q = 0
+    if q and 8 * _convergent_below(alpha)[1] * (k_max // q + 1) <= k_max:
+        return _progression_hit(alpha, target, k0, k_max)
     for k, b in stream:
         if b == target:
             return k

@@ -21,7 +21,8 @@ q_{m+1} and then carries quotient and remainder forward by one addition
 per index.  Random access goes through :meth:`IrrationalSlope.floor_multiple`,
 which caches small indices.  Walks that need no floor one by one take the
 rational line of a whole block from :meth:`IrrationalSlope.floor_line` and
-fold it in O(log) products with :func:`_euclid_product`.
+fold it in O(log) products with :func:`_euclid_product`, or sum its floors
+with :func:`floor_sum`.
 
 Slope expressions accepted by :func:`parse_slope`:
 
@@ -82,6 +83,23 @@ def _floor_surd(p: int, q: int, d: int, r: int) -> int:
     s = math.isqrt(q * q * d)
     num = p + s if q >= 0 else p - s - 1
     return num // r
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} (a*i + b) // m for n >= 0 and m >= 1, in O(log m) steps.
+
+    With a and b reduced mod m, the sum counts lattice points under a line;
+    read along the other axis it is the same sum with a and m swapped.
+    """
+    total = 0
+    while True:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        y = a * n + b
+        if y < m:
+            return total
+        n, b, m, a = y // m, y % m, a, m
 
 
 def _euclid_product(p: int, q: int, r: int, n: int, up, right, mul, one):

@@ -181,6 +181,23 @@ def run(seed: int = 0, report=print) -> int:
         if not ok:
             break
     check("brange-walk-vs-stream", ok, detail)
+    # targets above kmax/16, which the walk leaves: the near-half slope takes
+    # the floor-line progressions, the near-zero one the stream; the last
+    # target of each is never hit
+    ok, detail = True, ""
+    for expr in ("cf:[0;2,5000,...]", "cf:[0;3000,1,...]"):
+        first = {}
+        for k, bk in itertools.islice(permtool.b_stream(parse_slope(expr)), 20000):
+            first.setdefault(bk, k)
+        large = [t for t in sorted(first) if t >= 1250]
+        for target in large[:: max(1, len(large) // 8)] + [max(first) + 1]:
+            got = farey.b_range_search(parse_slope(expr), target, 20000)
+            if got != first.get(target):
+                ok, detail = False, f"{expr}, T={target}: got {got}, want {first.get(target)}"
+                break
+        if not ok:
+            break
+    check("brange-progressions-vs-stream", ok, detail)
 
     check("integral-1", farey.exact_integral(1).value == 1)
     check("integral-2", farey.exact_integral(2).value == Fraction(3, 2))

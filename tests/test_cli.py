@@ -166,6 +166,19 @@ def test_brange_to_10_30_walks_blocks(run_cli):
     assert doc["meta"]["floors"] < 1000
 
 
+@pytest.mark.parametrize("target, k", [(10**12 + 1, 2 * 10**12 + 2), (10**12 + 7, None)])
+def test_brange_to_3e12_reads_two_floors(run_cli, target, k):
+    # cf:[0;2,q,...] with q = 10^12: the floor line to kmax has q_m = 2q + 1
+    # and q_{m-1} = 2; at q = 1000 the stream gives k = 2002 and no hit
+    rc, out, err = run_cli(
+        ["brange", "--alpha", "cf:[0;2,1000000000000,...]", "--target", str(target),
+         "--kmax", str(3 * 10**12), "--format", "json"]
+    )
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert (doc["k"], doc["meta"]["floors"]) == (k, 2)
+
+
 def streamed_brange_output(alpha, target, k_max):
     """What brange printed when it streamed every k: its CSV row or its error line."""
     try:
@@ -346,6 +359,14 @@ def test_volume_past_the_int_string_limit(run_cli):
         sys.set_int_max_str_digits(limit)
     assert csv_out == f"n,volume\n2000,{want}\n"
     assert json.loads(json_out)["volume"] == want
+
+
+@pytest.mark.parametrize("command", [["table", "--alpha", "e"], ["integral"]])
+@pytest.mark.parametrize("start, end", [("0", "3"), ("5", "4")])
+def test_bad_range_is_an_invalid_argument(run_cli, command, start, end):
+    rc, out, err = run_cli([*command, "--from", start, "--to", end])
+    assert (rc, out) == (1, "")
+    assert err == f"error[InvalidArgument]: bad range {start}..{end}\n"
 
 
 @pytest.mark.parametrize("n", ["-1", "0"])

@@ -224,6 +224,60 @@ def test_b_range_search_on_an_exhausted_tail_answers_as_the_stream(target):
     assert outcome(lambda alpha: sl.b_range_search(alpha, target, 10**6)) == outcome(streamed)
 
 
+def first_hits_from(alpha, k_lo, k_max):
+    """{T: the least k in k_lo..k_max with B(k) == T} along b_stream."""
+    first = {}
+    for k, b in islice(sl.b_stream(alpha), k_max):
+        if k >= k_lo:
+            first.setdefault(b, k)
+    return first
+
+
+@pytest.mark.parametrize(
+    "expr, k_max",
+    [
+        ("cf:[-3;2,700,...]", 2000),  # p_m < 0
+        ("cf:[0;3000,1,...]", 2000),  # m = 0, where B(k) = k - 1
+        ("cf:[0;1,100000,...]", 2000),  # q_m = 1 at m = 1, where B(k) = 0
+        ("cf:[0;7,571,...]", 300),  # odd m = 1, where B(q_m) = q_m - 1
+        ("cf:[0;2,50,...]", 120),  # progressions of slope 0 in u under k_lo
+        ("phi", 120),  # q_{m-1} = 34 columns s, whose hits in one block compete
+    ],
+    ids=["negative_p", "index_0", "q_m_1", "odd_index", "flat", "many_columns"],
+)
+def test_progression_hit_equals_the_streamed_first_hit(expr, k_max):
+    for k_lo in (1, 2, 4, 5, k_max // 3, k_max - 1, k_max):
+        first = first_hits_from(sl.parse_slope(expr), k_lo, k_max)
+        for target in [-1, max(first) + 1, *first]:
+            got = farey._progression_hit(sl.parse_slope(expr), target, k_lo, k_max)
+            assert got == first.get(target), (k_lo, target)
+
+
+def test_progression_hit_solves_flat_progressions_from_k_lo():
+    # B(k) = 0 at every odd k < 101: from k_lo = 4 the least hit is 5, not 1
+    alpha = sl.parse_slope("cf:[0;2,50,...]")
+    assert farey._progression_hit(alpha, 0, 4, 120) == 5
+
+
+@pytest.mark.parametrize(
+    "expr, target, k_max, k, floors",
+    [
+        ("cf:[-3;2,700,...]", 701, 2000, 1402, 2),
+        ("cf:[-3;2,700,...]", 1402, 2000, 1403, 2),
+        ("cf:[0;3000,1,...]", 1000, 2000, 1001, 0),
+        ("cf:[0;2,1000,...]", 1001, 3000, 2002, 2),
+        ("cf:[0;2,1000,...]", 1007, 3000, None, 2),
+    ],
+)
+def test_large_targets_read_only_the_floors_below_q_m_minus_1(expr, target, k_max, k, floors):
+    # 16*(target + 1) >= k_max leaves the whole range to the progressions,
+    # which stream B(s) for s <= q_{m-1} alone
+    alpha = sl.parse_slope(expr)
+    assert sl.b_range_search(alpha, target, k_max) == k
+    assert alpha.stats["floors"] == floors
+    assert first_hits_from(sl.parse_slope(expr), 1, k_max).get(target) == k
+
+
 def test_congruence_reflexive_and_symmetric():
     phi_a, phi_b = make_slope("phi"), make_slope("phi")
     for n in (3, 6, 10):

@@ -246,6 +246,24 @@ def test_slope_freed_without_cycle_collector(name):
         gc.enable()
 
 
+@pytest.mark.parametrize("m", [1, 2, 7, 30])
+def test_floor_sum_equals_the_direct_sum(m):
+    # numerators a*i + b of either sign, and a and b past multiples of m
+    for n in range(0, 12):
+        for a in range(-2 * m - 3, 2 * m + 4):
+            for b in range(-2 * m - 3, 2 * m + 4, 2):
+                assert sl.floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+def test_floor_sum_of_a_floor_line():
+    # sum_{k<=n} floor(k*e) from the line of e to n, against floor_multiple
+    alpha = sl.EulerE()
+    n = 10**6
+    p, r, q = alpha.floor_line(n)
+    want = sum(alpha.floor_multiple(k) for k in range(n - 999, n + 1))
+    assert sl.floor_sum(n, q, p, p + r) - sl.floor_sum(n - 1000, q, p, p + r) == want
+
+
 def test_surd_normalization_invariance():
     base = sl.QuadraticSurd(-1, 1, 2, 1)  # sqrt(2) - 1
     same = sl.QuadraticSurd(2, -2, 2, -2)  # (2 - 2 sqrt 2)/(-2)

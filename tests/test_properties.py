@@ -136,6 +136,32 @@ def test_b_range_search_equals_the_streamed_first_hit(alpha, target, k_max, late
         assert sl.b_alpha(alpha, k) == target
 
 
+# one large quotient near the start, where a large target leaves the whole
+# range to the floor-line progressions, and periodic CFs with a0 < 0 or a
+# pre-period, where it mostly leaves it to the stream
+large_target_slopes = st.one_of(
+    periodic_cfs(),
+    st.integers(1, 10**4).flatmap(
+        lambda q: st.sampled_from((f"cf:[0;2,{q},...]", f"cf:[0;{q},1,...]"))
+    ).map(sl.parse_slope),
+    st.just("cf:[0;1,100000,...]").map(sl.parse_slope),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    alpha=large_target_slopes,
+    k_max=st.integers(1, 20_000),
+    pick=st.integers(0, 10**6),
+    taken=st.booleans(),
+)
+def test_large_target_b_range_search_equals_the_streamed_first_hit(alpha, k_max, pick, taken):
+    first = streamed_first_hits(copy.deepcopy(alpha), k_max)
+    targets = sorted(t for t in first if 16 * t >= k_max) if taken else []
+    target = targets[pick % len(targets)] if targets else k_max // 16 + pick % k_max
+    assert sl.b_range_search(copy.deepcopy(alpha), target, k_max) == first.get(target)
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(alpha=slopes, m=st.integers(1, 300))
 def test_sign_formula_equals_sign_of_sorted_order(alpha, m):
