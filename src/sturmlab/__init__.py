@@ -3,7 +3,8 @@
 The library computes, without floating point: Sturmian words and their
 factor sets, the permutation ordering {alpha}, {2 alpha}, ..., {n alpha},
 its integer matrix representation, Farey-cell decompositions, and the exact
-integral of the permutation order over all slopes.
+integral of the permutation order over all slopes.  The tests' independent
+routes are in :mod:`sturmlab.oracles`, which this package does not import.
 """
 
 from .errors import (
@@ -22,11 +23,9 @@ from .farey import (
     FareyCell,
     IntegralResult,
     b_range_search,
-    cell_containing,
     complement_factors,
     congruence_test,
     exact_integral,
-    farey_cells,
     perm_on_cell,
     sign_sum,
 )
@@ -48,7 +47,6 @@ from .matrep import (
     aux_matrix,
     char_trace,
     descent_set,
-    det_exact,
     det_runs,
     factor_matrix,
     intertwiner,
@@ -61,11 +59,9 @@ from .permtool import (
     FracPermutation,
     Gap,
     OrderPrediction,
-    b_alpha,
     b_stream,
     order,
     order_prediction,
-    pi_direct,
     pi_sos,
     rho,
     sign_direct,

@@ -3,9 +3,9 @@
 The ordering permutation of size n is constant on each open interval between
 adjacent order-n Farey fractions a/b < c/d.  There the least {k x} is at
 k = b and the greatest at k = d, so integrating its order over (0, 1) is an
-exact sum of Sos orders over the coprime pairs b, d <= n < b + d.  The cells
-and the sort at a mediant (:func:`farey_cells`, :func:`perm_on_cell`,
-:func:`cell_containing`) are kept as oracles.
+exact sum of Sos orders over the coprime pairs b, d <= n < b + d.  The sort
+at a cell's mediant (:func:`perm_on_cell`) checks one cell per size; the
+cells as objects are ``oracles.farey_cells`` and ``oracles.cell_containing``.
 
 The scans over sizes need no cell.  :func:`sign_sum` folds the signs along
 the floor line.  :func:`b_range_search` finds the least k with B(k) = T by
@@ -58,19 +58,6 @@ def _farey_pairs(n: int) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
     yield (a, b), (1, 1)
 
 
-def farey_cells(n: int) -> list[FareyCell]:
-    """All cells of the order-n Farey dissection of (0, 1), left to right."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cells = []
-    for (a, b), (c, d) in _farey_pairs(n):
-        assert b * c - a * d == 1, "not adjacent Farey fractions"
-        cells.append(
-            FareyCell(Fraction(a, b), Fraction(c, d), Fraction(a + c, b + d))
-        )
-    return cells
-
-
 def perm_on_cell(cell: FareyCell, n: int) -> FracPermutation:
     """Ordering permutation of 1..n on a cell, read off at its witness."""
     p, q = cell.witness.numerator, cell.witness.denominator
@@ -81,19 +68,6 @@ def perm_on_cell(cell: FareyCell, n: int) -> FracPermutation:
         )
     line = sorted(range(1, n + 1), key=lambda i: keys[i - 1])
     return FracPermutation(n, tuple(line))
-
-
-def cell_containing(alpha: IrrationalSlope, n: int) -> FareyCell:
-    """The order-n cell holding {alpha}, located by exact binary search."""
-    cells = farey_cells(n)
-    lo, hi = 0, len(cells) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if alpha.compare_frac_to_rational(cells[mid].right) > 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    return cells[lo]
 
 
 @dataclass(frozen=True)
@@ -210,7 +184,7 @@ def _progression_hit(alpha: IrrationalSlope, target: int, k_lo: int, k_max: int)
     in D moves by e per u, and it never wraps: the residues of x = 1..q-1
     miss only r % q.  So for each s and t, B is affine in u, and one division
     solves it.  The multiples j*q have B(j*q) = B(q) + (j - 1)*D(q).  Streams
-    the q' floors of the B(s).
+    the floors of the B(s), s <= min(q', q - 1): none when q = 1.
     """
     p, r, q = alpha.floor_line(k_max)
     p1, q1 = _convergent_below(alpha)
@@ -218,7 +192,7 @@ def _progression_hit(alpha: IrrationalSlope, target: int, k_lo: int, k_max: int)
     b = 2 * floor_sum(q - 1, q, p, p + r) + (q - 1) * (1 - (q * p + r) // q)
     u = _least_root(b, r % q + r + 1, -(-k_lo // q) - 1, k_max // q - 1, target)
     best = k_max + 1 if u is None else (u + 1) * q
-    for s, bs in islice(b_stream(alpha), q1):
+    for s, bs in islice(b_stream(alpha), min(q1, q - 1)):
         d1, rho = (s * p1 + r1) % q1 + r1 + 1, (s * p + r) % q
         for t in range(max(0, (k_lo - 1) // q), k_max // q + 1):
             base = s + t * q
@@ -274,7 +248,7 @@ def b_range_search(alpha: IrrationalSlope, target: int, k_max: int) -> int | Non
         q = alpha.floor_line(k_max)[2]
     except (RefinementBudgetExceeded, CoefficientsExhausted):
         q = 0
-    if q and 8 * _convergent_below(alpha)[1] * (k_max // q + 1) <= k_max:
+    if q and 8 * min(_convergent_below(alpha)[1], q - 1) * (k_max // q + 1) <= k_max:
         return _progression_hit(alpha, target, k0, k_max)
     for k, b in stream:
         if b == target:

@@ -13,7 +13,8 @@ The floor kernel rests on the best-approximation bound
 unless that division is exact; then the side of p_m/q_m that the value lies
 on (above for even m) decides between the quotient and the quotient minus 1.
 So each floor is one integer division at the slope's current convergent
-index m, which only moves forward, when |u| reaches q_{m+1}.
+index m, which only moves forward, when |u| reaches q_{m+1}.  The tests
+check it against interval refinement, ``oracles.floor_affine_cf``.
 
 Scans over k = start, start + step, ... use :meth:`IrrationalSlope.floors`,
 a stream of floor(k*value) that divides once per run of indices below
@@ -190,7 +191,7 @@ def _cf_quotients(
 
 
 class IrrationalSlope:
-    """Base class: exact floors, comparisons and rational bracketing."""
+    """Base class: exact floors and comparisons."""
 
     def __init__(self, budget: int | None = None):
         self.budget = DEFAULT_BUDGET if budget is None else int(budget)
@@ -243,11 +244,6 @@ class IrrationalSlope:
         p, q = convs[k]
         return Convergent(k, p, q)
 
-    def _bracket(self, level: int) -> tuple[Fraction, Fraction]:
-        a = self.convergent(level).value
-        b = self.convergent(level + 1).value
-        return (a, b) if a < b else (b, a)
-
     # -- exact floors ----------------------------------------------------------
 
     def _floor_affine(self, u: int, v: int, w: int) -> int:
@@ -281,23 +277,6 @@ class IrrationalSlope:
         self._m = m
         self._pm, self._qm = self._convs[m]
         self._qn = self._convs[m + 1][1]
-
-    def _floor_affine_cf(self, u: int, v: int, w: int) -> int:
-        """Interval-refinement floor, kept as an independent route for tests."""
-        if w == 0:
-            raise ZeroDivisionError("w must be nonzero")
-        if w < 0:
-            u, v, w = -u, -v, -w
-        if u == 0:
-            return v // w
-        for level in range(2, self.budget + 2):
-            lo, hi = self._bracket(level)
-            f1 = math.floor((u * lo + v) / w)
-            if f1 == math.floor((u * hi + v) / w):
-                return f1
-        raise RefinementBudgetExceeded(
-            f"floor of ({u}*alpha + {v})/{w} unresolved after {self.budget} refinements"
-        )
 
     def floor_multiple(self, k: int) -> int:
         """Exact floor(k * value) for k >= 1."""

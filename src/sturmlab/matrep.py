@@ -11,7 +11,7 @@ M_tau @ M_sigma = M_{tau*sigma} with (tau*sigma)(i) = tau(sigma(i)).
 Row i of L moves only at steps sigma^{-1}(i) and sigma^{-1}(i-1), so each row
 of M is one run, v in {-1, 1} on columns l..r (:func:`_runs`).  Both matrices
 are built from the runs, and the simplex volume takes :func:`det_runs`, an
-O(n) spanning-tree determinant; :func:`det_exact` (Bareiss) is its oracle.
+O(n) spanning-tree determinant; ``oracles.det_exact`` (Bareiss) is its oracle.
 """
 from __future__ import annotations
 
@@ -190,49 +190,6 @@ def intertwiner(n: int, a, b) -> IntertwinerQ:
 def char_trace(sigma: FracPermutation) -> tuple[int, int]:
     """(trace of M_sigma, trace of L_sigma), summed from the built matrices."""
     return factor_matrix(sigma).trace(), aux_matrix(sigma).trace()
-
-
-def det_exact(m: FactorMatrix | Sequence[Sequence[int]]) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination.
-
-    Step k pivots on the row r >= k whose column-k entry has the least nonzero
-    magnitude, negated when negative (each swap and each negation flips the
-    sign of the result), and then replaces every later row's tail by
-    (x*akk - aik*y) // prev, an exact division by the previous pivot.  A row
-    whose column-k entry is 0 is left untouched when akk == prev, since the
-    update is then x*akk // prev == x.  On factor matrices every pivot is 1 and
-    the rows stay in {-1, 0, 1}, so most rows are skipped at every step.
-    """
-    rows = m.entries if isinstance(m, FactorMatrix) else m
-    a = [list(r) for r in rows]
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = min(
-            (r for r in range(k, n) if a[r][k]), key=lambda r: abs(a[r][k]), default=None
-        )
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        ak = a[k]
-        akk = ak[k]
-        if akk < 0:
-            ak = a[k] = [-x for x in ak]
-            akk = -akk
-            sign = -sign
-        tail = ak[k + 1:]
-        rest = range(k + 1, n) if akk != prev else [i for i in range(k + 1, n) if a[i][k]]
-        for i in rest:
-            ai = a[i]
-            aik = ai[k]
-            ai[k + 1:] = [(x * akk - aik * y) // prev for x, y in zip(ai[k + 1:], tail)]
-        prev = akk
-    return sign * a[n - 1][n - 1] if n else 1
 
 
 def det_runs(n: int, runs: Sequence[tuple[int, int, int]]) -> int:

@@ -9,20 +9,19 @@ each next index follows from the previous one by one integer step.  Both
 extremes lie among the semiconvergent denominators <= n of the slope
 (:func:`extreme_positions`), so an ordering costs O(log n) exact comparisons
 and O(n) integer steps; :func:`sos_sign_order` reads the sign and the order
-off it for the table and the Farey integral.  :func:`pi_direct`, a
-comparison sort, is kept as the independent route the tests check it against.
+off it for the table and the Farey integral.  The tests check it against
+a comparison sort, ``oracles.pi_direct``.
 
 B(k), the number of q < k with {q*alpha} < {k*alpha}, is a floor sum:
 {j*alpha} + {(k-j)*alpha} = {k*alpha} + [{j*alpha} > {k*alpha}] summed over
 j < k gives B(k) = 2*sum_{j<k} floor(j*alpha) + (k-1)*(1 - floor(k*alpha)).
 :func:`b_stream` runs its first-difference recurrence along the floor stream;
-:func:`b_alpha`, a direct count, is the tests' oracle.
+a direct count, ``oracles.b_alpha``, is the tests' oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Iterator, Sequence
 
 from .errors import RecurrenceMismatch
@@ -116,18 +115,6 @@ class FracPermutation:
         # a tuple's repr without its commas; unlike joining str() of every
         # entry, this makes no string object per entry
         return "".join(str(c).replace(",", "") for c in self._cycles)
-
-
-def pi_direct(alpha: IrrationalSlope, n: int) -> FracPermutation:
-    """Sort 1..n by fractional part of k*alpha, exactly.
-
-    An O(n log n)-comparison sort, independent of the recurrence: the tests'
-    reference for :func:`pi_sos`.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    line = sorted(range(1, n + 1), key=cmp_to_key(alpha.frac_compare))
-    return FracPermutation(n, tuple(line))
 
 
 def extreme_positions(alpha: IrrationalSlope, n: int) -> tuple[int, int]:
@@ -258,13 +245,6 @@ def pi_sos(alpha: IrrationalSlope, n: int) -> FracPermutation:
         return FracPermutation(n, tuple(sos_line(n, *extreme_positions(alpha, n))))
     except ValueError:
         raise RecurrenceMismatch(f"recurrence produced a non-bijection for n={n}") from None
-
-
-def b_alpha(alpha: IrrationalSlope, k: int) -> int:
-    """Number of q in 1..k-1 with {q*alpha} < {k*alpha} (direct count)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return sum(1 for q in range(1, k) if alpha.frac_compare(q, k) < 0)
 
 
 def b_stream(alpha: IrrationalSlope) -> Iterator[tuple[int, int]]:

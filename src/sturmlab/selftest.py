@@ -10,7 +10,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from . import farey, matrep, permtool, sturmian
+from . import farey, matrep, oracles, permtool, sturmian
 from .irrational import EulerE, EulerEInv, parse_slope, phi
 from .permtool import FracPermutation
 
@@ -117,7 +117,7 @@ def run(seed: int = 0, report=print) -> int:
     check("perm-phi-5", pi5.one_line == (5, 2, 4, 1, 3))
     check("perm-phi-5-order", permtool.order(pi5) == 4)
     check("perm-phi-5-sign", permtool.sign_direct(pi5) == -1)
-    check("perm-phi-5-direct-sort", permtool.pi_direct(ph, 5).one_line == pi5.one_line)
+    check("perm-phi-5-direct-sort", oracles.pi_direct(ph, 5).one_line == pi5.one_line)
     check("matrix-phi-5", matrep.factor_matrix(pi5).entries == MATRIX_PHI_5)
 
     prod = matrep.mat_mul(ADJ_43_S5, MATRIX_PHI_5)
@@ -144,23 +144,18 @@ def run(seed: int = 0, report=print) -> int:
     # the reduction against the running sum along the floors stream, size by size
     ok, detail = True, ""
     for expr in ("e", "phi", "cf:[0;2,5000,...]"):
-        alpha, stream = parse_slope(expr), parse_slope(expr).floors(2, 2)
-        cur = running = peak = 1  # size 1
-        for n in range(2, 3001):
-            if n % 2 == 0 and next(stream) & 1:
-                cur = -cur
-            running += cur
-            peak = max(peak, abs(running))
+        alpha, signs = parse_slope(expr), oracles.streamed_signs(parse_slope(expr))
+        for n, (_, *want) in enumerate(itertools.islice(signs, 3000), 1):
             got = farey.sign_sum(alpha, n)
-            if got != (running, peak):
-                ok, detail = False, f"{expr}, N={n}: got {got}, want {(running, peak)}"
+            if got != tuple(want):
+                ok, detail = False, f"{expr}, N={n}: got {got}, want {tuple(want)}"
                 break
         if not ok:
             break
     check("signsum-reduction-vs-stream", ok, detail)
     ok, detail = True, ""
     for k, bk in itertools.islice(permtool.b_stream(inv_e), 200):
-        want = permtool.b_alpha(inv_e, k)
+        want = oracles.b_alpha(inv_e, k)
         if bk != want:
             ok, detail = False, f"k={k}: got {bk}, want {want}"
             break
@@ -169,9 +164,7 @@ def run(seed: int = 0, report=print) -> int:
     # stream prefix misses; the large quotient makes the walk give up
     ok, detail = True, ""
     for expr in ("e", "1/e", "cf:[0;1,100000,...]"):
-        first = {}
-        for k, bk in itertools.islice(permtool.b_stream(parse_slope(expr)), 20000):
-            first.setdefault(bk, k)
+        first = oracles.first_hits(parse_slope(expr), 20000)
         late = [t for t in range(400) if first.get(t, 20001) >= 16 * (t + 1)]
         for target in late[:10]:
             got = farey.b_range_search(parse_slope(expr), target, 20000)
@@ -186,9 +179,7 @@ def run(seed: int = 0, report=print) -> int:
     # target of each is never hit
     ok, detail = True, ""
     for expr in ("cf:[0;2,5000,...]", "cf:[0;3000,1,...]"):
-        first = {}
-        for k, bk in itertools.islice(permtool.b_stream(parse_slope(expr)), 20000):
-            first.setdefault(bk, k)
+        first = oracles.first_hits(parse_slope(expr), 20000)
         large = [t for t in sorted(first) if t >= 1250]
         for target in large[:: max(1, len(large) // 8)] + [max(first) + 1]:
             got = farey.b_range_search(parse_slope(expr), target, 20000)
@@ -202,7 +193,7 @@ def run(seed: int = 0, report=print) -> int:
     check("integral-1", farey.exact_integral(1).value == 1)
     check("integral-2", farey.exact_integral(2).value == Fraction(3, 2))
     ok, detail = True, ""
-    for cell in farey.farey_cells(6):
+    for cell in oracles.farey_cells(6):
         pc = farey.perm_on_cell(cell, 6)
         got = permtool.sos_sign_order(6, cell.left.denominator, cell.right.denominator)
         if got != (permtool.sign_direct(pc), permtool.order(pc)):
@@ -213,8 +204,8 @@ def run(seed: int = 0, report=print) -> int:
     slopes = [parse_slope(x) for x in ("1/e", "phi", "e", "cf:[0;2,32003,...]")]
     sos = [permtool.pi_sos(x, n) for x in slopes for n in range(1, 41)]
     dets = [matrep.det_runs(s.n, matrep._runs(s)) for s in sos]
-    check("volume-runs", dets == [matrep.det_exact(matrep.factor_matrix(s)) for s in sos])
-    got = matrep.det_exact(matrep.m_from_alpha(inv_e, 120))
+    check("volume-runs", dets == [oracles.det_exact(matrep.factor_matrix(s)) for s in sos])
+    got = oracles.det_exact(matrep.m_from_alpha(inv_e, 120))
     want = permtool.sign_direct(permtool.pi_sos(inv_e, 120))
     check("det-sign-1/e-120", got == want, f"got {got}, want {want}")
 

@@ -1,11 +1,16 @@
 """Shared fixtures: named slopes, a high-precision numeric oracle, and the
-permutation sweeps reused by several acceptance checks."""
+permutation sweeps and helpers reused by several test files."""
+
+import bisect
+import functools
+import itertools
 
 import pytest
 from mpmath import mp
 
 import sturmlab as sl
 import sturmlab.cli
+from sturmlab.oracles import pi_direct
 
 mp.dps = 80
 
@@ -60,7 +65,39 @@ def pi_sweeps():
     out = {}
     for name in SWEEP_SLOPES:
         alpha = make_slope(name)
-        out[name] = (alpha, [sl.pi_direct(alpha, n) for n in range(1, SWEEP_N + 1)])
+        out[name] = (alpha, [pi_direct(alpha, n) for n in range(1, SWEEP_N + 1)])
+    return out
+
+
+def all_perms(n):
+    return [sl.FracPermutation(n, line) for line in itertools.permutations(range(1, n + 1))]
+
+
+def random_perm(rng, n):
+    line = list(range(1, n + 1))
+    rng.shuffle(line)
+    return sl.FracPermutation(n, tuple(line))
+
+
+def insert_by_frac(alpha, ordering, k):
+    """Insert k into ordering, kept by increasing {j*alpha}; return its 0-based position."""
+    key = functools.cmp_to_key(alpha.frac_compare)
+    at = bisect.bisect_left(ordering, key(k), key=key)
+    ordering.insert(at, k)
+    return at
+
+
+def walked_cycles(line):
+    """Cycles of a one-line permutation, walked from each least unseen index."""
+    seen, out = set(), []
+    for start in range(1, len(line) + 1):
+        if start not in seen:
+            cyc, j = [start], line[start - 1]
+            while j != start:
+                cyc.append(j)
+                j = line[j - 1]
+            seen.update(cyc)
+            out.append(tuple(cyc))
     return out
 
 

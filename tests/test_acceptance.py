@@ -19,6 +19,7 @@ import pytest
 
 import sturmlab as sl
 from sturmlab.matrep import mat_mul
+from sturmlab.oracles import det_exact, pi_direct
 from sturmlab.selftest import (
     AUX_52314,
     FACTORS_INV_E_6,
@@ -26,20 +27,10 @@ from sturmlab.selftest import (
     MATRIX_INV_E_6,
     WORD_PREFIX_INV_E,
 )
-from conftest import SWEEP_N, make_slope
+from conftest import SWEEP_N, all_perms, insert_by_frac, make_slope, random_perm
 from table_e_golden import TABLE_E
 
 FULL_SCALE = os.environ.get("STURMLAB_FULL_SCALE") == "1"
-
-
-def all_perms(n):
-    return [sl.FracPermutation(n, line) for line in itertools.permutations(range(1, n + 1))]
-
-
-def random_perm(rng, n):
-    line = list(range(1, n + 1))
-    rng.shuffle(line)
-    return sl.FracPermutation(n, tuple(line))
 
 
 def test_c01_golden_sign_order_table_slope_e(run_cli):
@@ -60,7 +51,7 @@ def test_c02_unimodular_det_and_simplex_volume():
     for name in ("phi", "1/e", "sqrt2-1", "e"):
         alpha = make_slope(name)
         for n in range(1, 65):
-            det = sl.det_exact(sl.m_from_alpha(alpha, n))
+            det = det_exact(sl.m_from_alpha(alpha, n))
             assert abs(det) == 1, f"{name}, n={n}"
             assert sl.simplex_volume(alpha, n) == Fraction(1, math.factorial(n))
     assert time.monotonic() - started < 30
@@ -80,7 +71,7 @@ def test_c03_matrix_representation_is_homomorphism():
     # worked product: adjacent swap of 3 and 4 composed with the size-5
     # golden ratio permutation
     adj = sl.FracPermutation(5, (1, 2, 4, 3, 5))
-    pi5 = sl.pi_direct(sl.phi(), 5)
+    pi5 = pi_direct(sl.phi(), 5)
     prod = mat_mul(sl.factor_matrix(adj).rows(), sl.factor_matrix(pi5).rows())
     composed = adj.compose(pi5)
     assert composed.one_line == (5, 2, 3, 1, 4)
@@ -144,14 +135,14 @@ def test_c07_order_predictions_and_fibonacci_orders(pi_sweeps):
     for idx in range(4, 21):
         want = 2 if idx % 2 == 0 else 4
         for n in (fib[idx] - 1, fib[idx]):
-            assert sl.order(sl.pi_direct(phi, n)) == want, f"f_{idx}, n={n}"
+            assert sl.order(pi_direct(phi, n)) == want, f"f_{idx}, n={n}"
 
 
 def test_c08_recurrence_permutation_equals_direct_sort(pi_sweeps):
     for name, (alpha, perms) in pi_sweeps.items():
         for n in range(1, SWEEP_N + 1):
             assert sl.pi_sos(alpha, n).one_line == perms[n - 1].one_line, f"{name}, n={n}"
-    assert sl.pi_direct(sl.phi(), 5).one_line == (5, 2, 4, 1, 3)
+    assert pi_direct(sl.phi(), 5).one_line == (5, 2, 4, 1, 3)
 
 
 def test_c09_at_most_three_distinct_gaps():
@@ -159,14 +150,7 @@ def test_c09_at_most_three_distinct_gaps():
         alpha = make_slope(name)
         ordering = []
         for n in range(1, 1001):
-            lo, hi = 0, len(ordering)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if alpha.frac_compare(ordering[mid], n) < 0:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            ordering.insert(lo, n)
+            insert_by_frac(alpha, ordering, n)
             gaps = sl.three_distance_gaps(alpha, n, ordering=ordering)
             assert len(set(gaps)) <= 3, f"{name}, n={n}"
             assert sum(g.coeff for g in gaps) == 0
@@ -203,15 +187,7 @@ def test_c10_better_approximation_count_suite():
         alpha = make_slope(name)
         ordering = []
         for k, bk in itertools.islice(sl.b_stream(alpha), k_top):
-            lo, hi = 0, len(ordering)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if alpha.frac_compare(ordering[mid], k) < 0:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            assert bk == lo, f"{name}, k={k}"
-            ordering.insert(lo, k)
+            assert bk == insert_by_frac(alpha, ordering, k), f"{name}, k={k}"
 
     assert sl.b_range_search(make_slope("1/e"), 25, 30000) == 22154
     scan_top = 10**7 if FULL_SCALE else 10**6

@@ -1,9 +1,11 @@
-"""Command line interface: formats, outputs, budgets, error reporting."""
+"""Command line interface: formats, outputs, budgets, errors, and the oracle gate."""
 
+import ast
 import csv
 import io
 import json
 import math
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +16,7 @@ import sturmlab.cli
 from sturmlab import permtool, sturmian
 
 SNAPSHOTS = Path(__file__).with_name("snapshots")
+PACKAGE = Path(sturmlab.cli.__file__).parent
 SNAPSHOT_SLOPES = {"phi": "phi", "e": "e", "lq": "cf:[0;2,32003,...]"}
 
 
@@ -141,17 +144,18 @@ def test_brange_found_and_missing(run_cli):
 
 
 @pytest.mark.parametrize(
-    "target, kmax, k", [("0", "5", 1), ("7", "1", None)], ids=["found", "missing"]
+    "target, kmax, k, floors", [("0", "5", 1, 1), ("7", "1", None, 0)], ids=["found", "missing"]
 )
-def test_brange_stopping_at_k_1_reads_one_floor(run_cli, target, kmax, k):
+def test_brange_stopping_at_k_1_reads_one_floor(run_cli, target, kmax, k, floors):
     # B(1) = 0 needs floor(alpha) alone, so a search that stops at k = 1 has
-    # read exactly one floor
+    # read exactly one floor; at kmax = 1 the floor line has q_m = 1, where
+    # B(k) = B(1) + (k - 1)*D(1) decides the miss with no floor read
     rc, out, err = run_cli(
         ["brange", "--alpha", "phi", "--target", target, "--kmax", kmax, "--format", "json"]
     )
     assert rc == 0
     doc = json.loads(out)
-    assert (doc["k"], doc["meta"]["floors"]) == (k, 1)
+    assert (doc["k"], doc["meta"]["floors"]) == (k, floors)
 
 
 def test_brange_to_10_30_walks_blocks(run_cli):
@@ -518,3 +522,24 @@ def test_selftest_counts_every_check(run_cli):
     lines = out.splitlines()
     passed = sum(line.startswith("PASS ") for line in lines)
     assert lines[-1] == f"OK: {passed}/{passed} checks passed"
+
+
+def imports_oracles(path):
+    """Whether an import anywhere in the module at path names an oracles module."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""  # None for "from . import x"
+            names += [module] + [f"{module}.{a.name}" for a in node.names]
+    return any("oracles" in name.split(".") for name in names)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_only_the_selftest_imports_the_oracles(path):
+    # the CLI imports the selftest only to run that command
+    assert imports_oracles(path) == (path.name == "selftest.py")
+
+
+def test_importing_the_cli_loads_no_oracle():
+    code = "import sys, sturmlab.cli; sys.exit('sturmlab.oracles' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], cwd=PACKAGE.parent).returncode == 0

@@ -11,7 +11,8 @@ from mpmath import mp
 
 import sturmlab as sl
 from sturmlab import farey
-from conftest import MP_VALUES, make_slope
+from sturmlab.oracles import b_alpha, cell_containing, farey_cells, first_hits, pi_direct
+from conftest import MP_VALUES, make_slope, walked_cycles
 
 
 def totient_sum(n):
@@ -21,22 +22,6 @@ def totient_sum(n):
     return total
 
 
-def perm_order_inline(line):
-    """Cycle-scan order computation, independent of the package."""
-    n = len(line)
-    seen = [False] * n
-    result = 1
-    for i in range(n):
-        if not seen[i]:
-            length, j = 0, i
-            while not seen[j]:
-                seen[j] = True
-                j = line[j] - 1
-                length += 1
-            result = math.lcm(result, length)
-    return result
-
-
 def brute_integral(n):
     """Order integral via a from-scratch cell walk over sorted fractions."""
     fracs = sorted({Fraction(p, q) for q in range(1, n + 1) for p in range(q + 1)})
@@ -44,7 +29,7 @@ def brute_integral(n):
     for lo, hi in zip(fracs, fracs[1:]):
         w = Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
         line = tuple(sorted(range(1, n + 1), key=lambda k: (k * w) % 1))
-        total += (hi - lo) * perm_order_inline(line)
+        total += (hi - lo) * math.lcm(*map(len, walked_cycles(line)))
     return total
 
 
@@ -52,14 +37,14 @@ def cell_sum_integral(n):
     """(order integral, cell count) as a sum over the cells of farey_cells:
     each cell's length times the order of the permutation sorted at its
     mediant."""
-    cells = sl.farey_cells(n)
+    cells = farey_cells(n)
     total = sum((c.right - c.left) * sl.order(sl.perm_on_cell(c, n)) for c in cells)
     return total, len(cells)
 
 
 def test_farey_cells_structure():
     for n in range(1, 12):
-        cells = sl.farey_cells(n)
+        cells = farey_cells(n)
         assert len(cells) == totient_sum(n)
         assert cells[0].left == 0 and cells[-1].right == 1
         for prev, cur in zip(cells, cells[1:]):
@@ -74,12 +59,12 @@ def test_farey_cells_structure():
 
 def test_farey_cells_rejects_bad_n():
     with pytest.raises(ValueError):
-        sl.farey_cells(0)
+        farey_cells(0)
 
 
 def test_perm_on_cell_matches_fraction_sort():
     for n in (1, 2, 3, 5, 8):
-        for cell in sl.farey_cells(n):
+        for cell in farey_cells(n):
             w = cell.witness
             want = tuple(sorted(range(1, n + 1), key=lambda k: (k * w) % 1))
             assert sl.perm_on_cell(cell, n).one_line == want
@@ -88,15 +73,15 @@ def test_perm_on_cell_matches_fraction_sort():
 def test_perm_on_cell_matches_slope_inside_cell(named_slope):
     name, alpha = named_slope
     for n in (2, 5, 9, 14):
-        cell = sl.cell_containing(alpha, n)
-        assert sl.perm_on_cell(cell, n).one_line == sl.pi_direct(alpha, n).one_line
+        cell = cell_containing(alpha, n)
+        assert sl.perm_on_cell(cell, n).one_line == pi_direct(alpha, n).one_line
 
 
 def test_cell_containing_brackets_fractional_part(named_slope):
     name, alpha = named_slope
     frac_x = mp.frac(MP_VALUES[name])
     for n in (1, 4, 10, 25):
-        cell = sl.cell_containing(alpha, n)
+        cell = cell_containing(alpha, n)
         lo = mp.mpf(cell.left.numerator) / cell.left.denominator
         hi = mp.mpf(cell.right.numerator) / cell.right.denominator
         assert lo < frac_x < hi
@@ -127,7 +112,7 @@ def test_sos_kernel_matches_perm_on_cell():
     # on the cell between adjacent a/b < c/d the least {k x} is at k = b and
     # the greatest at k = d, so the cell's permutation is the Sos line of (n, b, d)
     for n in range(1, 41):
-        for cell in sl.farey_cells(n):
+        for cell in farey_cells(n):
             b, d = cell.left.denominator, cell.right.denominator
             pc = sl.perm_on_cell(cell, n)
             assert tuple(sl.permtool.sos_line(n, b, d)) == pc.one_line, (n, b, d)
@@ -173,7 +158,7 @@ def test_sign_sum_matches_direct_partial_sums():
     phi = make_slope("phi")
     running, peak, direct_total = 0, 0, 0
     for n in range(1, 201):
-        running += sl.sign_direct(sl.pi_direct(phi, n))
+        running += sl.sign_direct(pi_direct(phi, n))
         peak = max(peak, abs(running))
     total, max_abs = sl.sign_sum(make_slope("phi"), 200)
     assert (total, max_abs) == (running, peak)
@@ -195,7 +180,7 @@ def test_b_range_search_finds_least_k():
     inv_e = make_slope("1/e")
     for target in (0, 1, 2, 5, 9):
         want = next(
-            (k for k, b in ((k, sl.b_alpha(inv_e, k)) for k in range(1, 2001)) if b == target),
+            (k for k, b in ((k, b_alpha(inv_e, k)) for k in range(1, 2001)) if b == target),
             None,
         )
         assert sl.b_range_search(make_slope("1/e"), target, 2000) == want
@@ -224,15 +209,6 @@ def test_b_range_search_on_an_exhausted_tail_answers_as_the_stream(target):
     assert outcome(lambda alpha: sl.b_range_search(alpha, target, 10**6)) == outcome(streamed)
 
 
-def first_hits_from(alpha, k_lo, k_max):
-    """{T: the least k in k_lo..k_max with B(k) == T} along b_stream."""
-    first = {}
-    for k, b in islice(sl.b_stream(alpha), k_max):
-        if k >= k_lo:
-            first.setdefault(b, k)
-    return first
-
-
 @pytest.mark.parametrize(
     "expr, k_max",
     [
@@ -247,7 +223,7 @@ def first_hits_from(alpha, k_lo, k_max):
 )
 def test_progression_hit_equals_the_streamed_first_hit(expr, k_max):
     for k_lo in (1, 2, 4, 5, k_max // 3, k_max - 1, k_max):
-        first = first_hits_from(sl.parse_slope(expr), k_lo, k_max)
+        first = first_hits(sl.parse_slope(expr), k_max, k_lo)
         for target in [-1, max(first) + 1, *first]:
             got = farey._progression_hit(sl.parse_slope(expr), target, k_lo, k_max)
             assert got == first.get(target), (k_lo, target)
@@ -267,6 +243,7 @@ def test_progression_hit_solves_flat_progressions_from_k_lo():
         ("cf:[0;3000,1,...]", 1000, 2000, 1001, 0),
         ("cf:[0;2,1000,...]", 1001, 3000, 2002, 2),
         ("cf:[0;2,1000,...]", 1007, 3000, None, 2),
+        ("cf:[0;1,100000,...]", 5000, 50000, None, 0),  # q_m = q_{m-1} = 1: no B(s) to stream
     ],
 )
 def test_large_targets_read_only_the_floors_below_q_m_minus_1(expr, target, k_max, k, floors):
@@ -275,7 +252,7 @@ def test_large_targets_read_only_the_floors_below_q_m_minus_1(expr, target, k_ma
     alpha = sl.parse_slope(expr)
     assert sl.b_range_search(alpha, target, k_max) == k
     assert alpha.stats["floors"] == floors
-    assert first_hits_from(sl.parse_slope(expr), 1, k_max).get(target) == k
+    assert first_hits(sl.parse_slope(expr), k_max).get(target) == k
 
 
 def test_congruence_reflexive_and_symmetric():
@@ -341,7 +318,7 @@ def test_sign_sum_budget_fails_where_the_stream_fails(upto):
 
 def test_factor_distances_are_the_hamming_distances_of_the_factors():
     for n in range(1, 25):
-        for cell in sl.farey_cells(n):
+        for cell in farey_cells(n):
             pi = sl.perm_on_cell(cell, n)
             fs = sl.factor_set_from_perm(pi).factors
             hamming = [[sum(map(int.__ne__, u, v)) for v in fs] for u in fs]
@@ -380,7 +357,7 @@ def test_only_equal_or_complementary_factor_sets_are_congruent():
     # the congruence conjecture of c14 on every pair of order-n cells: equal
     # factor sets have equal orderings, complementary ones reversed orderings
     for n in range(1, 17):
-        lines = [sl.perm_on_cell(cell, n).one_line for cell in sl.farey_cells(n)]
+        lines = [sl.perm_on_cell(cell, n).one_line for cell in farey_cells(n)]
         dists = [farey._factor_distances(line) for line in lines]
         for la, da in zip(lines, dists):
             for lb, db in zip(lines, dists):

@@ -9,6 +9,7 @@ import pytest
 from mpmath import mp
 
 import sturmlab as sl
+from sturmlab.oracles import bracket, floor_affine_cf
 from conftest import MP_VALUES, make_slope, mp_floor
 
 E_CONVERGENTS = [
@@ -83,7 +84,7 @@ def test_refinement_stream_shrinks_and_nests(named_slope):
     x = MP_VALUES[name]
     prev = None
     for level in range(2, 12):
-        box = alpha._bracket(level)
+        box = bracket(alpha, level)
         lo = mp.mpf(box[0].numerator) / box[0].denominator
         hi = mp.mpf(box[1].numerator) / box[1].denominator
         assert lo < x < hi
@@ -100,7 +101,7 @@ def test_surd_floor_paths_agree():
     for k in range(1, 300):
         want = sl.irrational._floor_surd(k * alpha.a, k * alpha.b, alpha.d, alpha.c)
         assert alpha._floor_affine(k, 0, 1) == want
-        assert alpha._floor_affine_cf(k, 0, 1) == want
+        assert floor_affine_cf(alpha, k, 0, 1) == want
 
 
 # adversarial slopes: huge partial quotients, a pre-periodic CF, a negative
@@ -121,7 +122,7 @@ KERNEL_SLOPES = {
 
 
 def _oracles(alpha, u, v, w):
-    yield alpha._floor_affine_cf(u, v, w)
+    yield floor_affine_cf(alpha, u, v, w)
     if isinstance(alpha, sl.QuadraticSurd):
         yield sl.irrational._floor_surd(
             u * alpha.a + v * alpha.c, u * alpha.b, alpha.d, alpha.c * w
@@ -163,7 +164,7 @@ def test_floor_kernel_matches_independent_oracles(name):
     assert exact > 0  # the exact-division branch ran
     # scans after random access reuse the deeper convergent
     for k in range(1, 400):
-        assert kernel.floor_multiple(k) == oracle._floor_affine_cf(k, 0, 1)
+        assert kernel.floor_multiple(k) == floor_affine_cf(oracle, k, 0, 1)
 
 
 STREAM_LIMIT = 250_000
@@ -190,7 +191,7 @@ def test_floor_stream_matches_kernel_and_oracle(name, start, step):
         odd_exact = stream._m % 2 == 1 and k % stream._qm == 0
         exact += odd_exact
         if k in edges or (odd_exact and (k <= 2000 or stream._qm > 1)):
-            assert f == kernel.floor_multiple(k) == oracle._floor_affine_cf(k, 0, 1), k
+            assert f == kernel.floor_multiple(k) == floor_affine_cf(oracle, k, 0, 1), k
     if step == 1:
         assert exact > 0  # k = q_m at an odd m divides exactly
     assert stream.stats["floors"] == len(ks)

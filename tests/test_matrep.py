@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import sturmlab as sl
 from sturmlab.matrep import _runs, det_runs, identity_matrix, mat_mul
+from sturmlab.oracles import det_exact, pi_direct
 from sturmlab.selftest import (
     ADJ_43_S5,
     AUX_52314,
@@ -18,7 +19,7 @@ from sturmlab.selftest import (
     MATRIX_INV_E_6,
     MATRIX_PHI_5,
 )
-from conftest import make_slope
+from conftest import all_perms, make_slope, random_perm
 
 SIGMA_52314 = sl.FracPermutation(5, (5, 2, 3, 1, 4))
 
@@ -38,16 +39,6 @@ SNAKE_L = [
     [0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0],
     [0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0],
 ]
-
-
-def all_perms(n):
-    return [sl.FracPermutation(n, line) for line in itertools.permutations(range(1, n + 1))]
-
-
-def random_perm(rng, n):
-    line = list(range(1, n + 1))
-    rng.shuffle(line)
-    return sl.FracPermutation(n, tuple(line))
 
 
 def det_fraction_gauss(rows):
@@ -130,12 +121,12 @@ def test_adjacent_transposition_is_identity_plus_v():
 
 
 def test_matrix_phi_5_fixture():
-    assert sl.factor_matrix(sl.pi_direct(sl.phi(), 5)).entries == MATRIX_PHI_5
+    assert sl.factor_matrix(pi_direct(sl.phi(), 5)).entries == MATRIX_PHI_5
 
 
 def test_worked_product():
     adj = sl.FracPermutation(5, (1, 2, 4, 3, 5))
-    pi5 = sl.pi_direct(sl.phi(), 5)
+    pi5 = pi_direct(sl.phi(), 5)
     composed = adj.compose(pi5)
     assert composed.one_line == (5, 2, 3, 1, 4)
     prod = mat_mul(ADJ_43_S5, MATRIX_PHI_5)
@@ -184,7 +175,7 @@ def test_snake_example_matrices_and_traces():
 
 def test_det_is_sign_s4():
     for sigma in all_perms(4):
-        assert sl.det_exact(sl.factor_matrix(sigma)) == sl.sign_direct(sigma)
+        assert det_exact(sl.factor_matrix(sigma)) == sl.sign_direct(sigma)
 
 
 def test_det_exact_against_gaussian_oracle():
@@ -192,17 +183,17 @@ def test_det_exact_against_gaussian_oracle():
     for _ in range(60):
         n = rng.randint(1, 6)
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        assert sl.det_exact(rows) == det_fraction_gauss(rows)
+        assert det_exact(rows) == det_fraction_gauss(rows)
 
 
 def test_det_exact_of_empty_matrix_is_one():
     # the empty product: the determinant of the 0 x 0 matrix
-    assert sl.det_exact([]) == 1
+    assert det_exact([]) == 1
 
 
 def test_det_exact_rejects_non_square():
     with pytest.raises(ValueError):
-        sl.det_exact([[1, 2, 3], [4, 5, 6]])
+        det_exact([[1, 2, 3], [4, 5, 6]])
 
 
 @st.composite
@@ -241,21 +232,21 @@ def det_cases(draw):
 @settings(max_examples=400, deadline=None, database=None)
 @given(rows=det_cases())
 def test_det_exact_equals_fraction_gauss(rows):
-    assert sl.det_exact(rows) == det_fraction_gauss(rows)
+    assert det_exact(rows) == det_fraction_gauss(rows)
 
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(line=st.integers(1, 150).flatmap(lambda n: st.permutations(range(1, n + 1))))
 def test_det_of_factor_matrix_is_sign(line):
     sigma = sl.FracPermutation(len(line), tuple(line))
-    assert sl.det_exact(sl.factor_matrix(sigma)) == sl.sign_direct(sigma)
+    assert det_exact(sl.factor_matrix(sigma)) == sl.sign_direct(sigma)
 
 
 @pytest.mark.parametrize("n", [200, 400])
 @pytest.mark.parametrize("slope", ["phi", "1/e", "cf:[0;1,2,3,...]", "cf:[0;2,32003,...]"])
 def test_det_of_m_from_alpha_is_sign_of_ordering(slope, n):
     alpha = sl.parse_slope(slope)
-    det = sl.det_exact(sl.m_from_alpha(alpha, n))
+    det = det_exact(sl.m_from_alpha(alpha, n))
     assert det == sl.sign_direct(sl.pi_sos(alpha, n))
 
 
@@ -374,7 +365,7 @@ def run_matrices(draw):
 def test_det_runs_equals_det_exact(case):
     n, runs = case
     rows = [[v if l <= j <= r else 0 for j in range(1, n + 1)] for l, r, v in runs]
-    assert det_runs(n, runs) == sl.det_exact(rows)
+    assert det_runs(n, runs) == det_exact(rows)
 
 
 def test_det_runs_on_every_unit_run_matrix_of_size_3():
@@ -384,7 +375,7 @@ def test_det_runs_on_every_unit_run_matrix_of_size_3():
     for runs in itertools.product(spans, repeat=3):
         rows = [[1 if l <= j <= r else 0 for j in range(1, 4)] for l, r, _ in runs]
         dets.append(det_runs(3, runs))
-        assert dets[-1] == sl.det_exact(rows)
+        assert dets[-1] == det_exact(rows)
     assert set(dets) == {-1, 0, 1}
 
 

@@ -1,7 +1,5 @@
 """Ordering permutations: construction, recurrence, signs, orders, gaps."""
 
-import bisect
-import functools
 import math
 import random
 
@@ -9,7 +7,8 @@ import pytest
 from mpmath import mp
 
 import sturmlab as sl
-from conftest import MP_VALUES, make_slope, mp_frac
+from sturmlab.oracles import b_alpha, pi_direct
+from conftest import MP_VALUES, insert_by_frac, make_slope, mp_frac, random_perm
 
 
 def test_one_line_validation():
@@ -74,20 +73,20 @@ def test_embed_keeps_action():
 
 
 def test_pi_phi_5_fixture():
-    assert sl.pi_direct(sl.phi(), 5).one_line == (5, 2, 4, 1, 3)
+    assert pi_direct(sl.phi(), 5).one_line == (5, 2, 4, 1, 3)
 
 
 def test_pi_direct_matches_numeric_sort(named_slope):
     name, alpha = named_slope
     for n in (1, 2, 5, 17, 60):
         want = tuple(sorted(range(1, n + 1), key=lambda k: mp_frac(name, k)))
-        assert sl.pi_direct(alpha, n).one_line == want
+        assert pi_direct(alpha, n).one_line == want
 
 
 def test_pi_sos_equals_pi_direct_small(named_slope):
     name, alpha = named_slope
     for n in range(1, 121):
-        assert sl.pi_sos(alpha, n).one_line == sl.pi_direct(alpha, n).one_line
+        assert sl.pi_sos(alpha, n).one_line == pi_direct(alpha, n).one_line
 
 
 # Slopes for the recurrence oracle: huge partial quotients, a pre-periodic
@@ -118,11 +117,10 @@ def test_pi_sos_equals_direct_sort(name):
     alpha = ORACLE_SLOPES[name]()
     # the comparison sort, grown one index at a time by binary insertion
     ordering = []
-    key = functools.cmp_to_key(alpha.frac_compare)
     for n in range(1, ORACLE_N + 1):
-        bisect.insort(ordering, n, key=key)
+        insert_by_frac(alpha, ordering, n)
         assert sl.pi_sos(alpha, n).one_line == tuple(ordering), f"n={n}"
-    assert sl.pi_direct(alpha, ORACLE_N).one_line == tuple(ordering)
+    assert pi_direct(alpha, ORACLE_N).one_line == tuple(ordering)
     j = 0
     while alpha.convergent(j).q < ORACLE_Q_MAX:
         q = alpha.convergent(j).q
@@ -130,7 +128,7 @@ def test_pi_sos_equals_direct_sort(name):
             if n > ORACLE_N:
                 assert _is_increasing_ordering(alpha, sl.pi_sos(alpha, n).one_line), f"n={n}"
             elif n >= 1:
-                assert sl.pi_sos(alpha, n).one_line == sl.pi_direct(alpha, n).one_line
+                assert sl.pi_sos(alpha, n).one_line == pi_direct(alpha, n).one_line
         j += 1
 
 
@@ -191,7 +189,7 @@ def test_sos_kernel_rejects_pairs_that_are_not_extremes():
 
 def test_pi_rejects_bad_n():
     with pytest.raises(ValueError):
-        sl.pi_direct(sl.phi(), 0)
+        pi_direct(sl.phi(), 0)
     with pytest.raises(ValueError):
         sl.pi_sos(sl.phi(), 0)
     with pytest.raises(ValueError):
@@ -203,14 +201,14 @@ def test_b_alpha_matches_numeric_count(named_slope):
     for k in range(1, 200):
         fk = mp_frac(name, k)
         want = sum(1 for q in range(1, k) if mp_frac(name, q) < fk)
-        assert sl.b_alpha(alpha, k) == want
+        assert b_alpha(alpha, k) == want
 
 
 def test_b_stream_matches_direct(named_slope):
     name, alpha = named_slope
     stream = sl.b_stream(alpha)
     for k, bk in ((k, b) for k, b in zip(range(1, 401), (v for _, v in stream))):
-        assert bk == sl.b_alpha(alpha, k), f"k={k}"
+        assert bk == b_alpha(alpha, k), f"k={k}"
 
 
 def test_b_stream_yields_indexed_pairs():
@@ -242,7 +240,7 @@ def test_sign_direct_known_cases():
 def test_sign_formula_matches_direct_small(named_slope):
     name, alpha = named_slope
     for n in range(1, 61):
-        assert sl.sign_formula(alpha, n) == sl.sign_direct(sl.pi_direct(alpha, n))
+        assert sl.sign_formula(alpha, n) == sl.sign_direct(pi_direct(alpha, n))
 
 
 def test_sign_constant_on_even_odd_pairs(named_slope):
@@ -269,7 +267,7 @@ def test_order_prediction_matches_direct(named_slope):
     name, alpha = named_slope
     applicable = 0
     for n in range(2, 80):
-        pi = sl.pi_direct(alpha, n)
+        pi = pi_direct(alpha, n)
         pred = sl.order_prediction(alpha, n, pi=pi)
         assert sl.order_prediction(alpha, n) == pred  # from the extremes alone
         if pred is None:
@@ -277,7 +275,7 @@ def test_order_prediction_matches_direct(named_slope):
             continue
         applicable += 1
         assert pred.case in ("max", "min")
-        assert pred.order_prev == sl.order(sl.pi_direct(alpha, n - 1))
+        assert pred.order_prev == sl.order(pi_direct(alpha, n - 1))
         assert pred.order_n == sl.order(pi)
     assert applicable > 0
 
@@ -343,9 +341,7 @@ def test_random_composition_order_sign_consistency():
     rng = random.Random(5077)
     for _ in range(100):
         n = rng.randint(2, 10)
-        line = list(range(1, n + 1))
-        rng.shuffle(line)
-        pi = sl.FracPermutation(n, tuple(line))
+        pi = random_perm(rng, n)
         assert sl.sign_direct(pi) * sl.sign_direct(pi.inverse()) == 1
         assert sl.order(pi) == sl.order(pi.inverse())
         power = sl.FracPermutation.identity(n)

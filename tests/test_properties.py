@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 import sturmlab as sl
 from sturmlab.cli import _JSON_BATCH, _emit_rows, _write_json
 from sturmlab.matrep import mat_mul
+from sturmlab.oracles import b_alpha, first_hits, pi_direct, streamed_sign_sum
+from conftest import walked_cycles
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -27,7 +29,7 @@ from sturmlab.matrep import mat_mul
 )
 def test_pi_sos_equals_pi_direct_on_periodic_cfs(a0, block, n):
     alpha = sl.ExplicitCF([a0, *block], repeat=block)
-    assert sl.pi_sos(alpha, n).one_line == sl.pi_direct(alpha, n).one_line
+    assert sl.pi_sos(alpha, n).one_line == pi_direct(alpha, n).one_line
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -75,7 +77,7 @@ slopes = st.one_of(periodic_cfs(), surds())
 @given(alpha=slopes)
 def test_b_stream_equals_direct_count_and_floor_identity(alpha):
     got = [b for _, b in islice(sl.b_stream(alpha), 5000)]
-    assert got[:300] == [sl.b_alpha(alpha, k) for k in range(1, 301)]
+    assert got[:300] == [b_alpha(alpha, k) for k in range(1, 301)]
     # B(k) = 2*sum_{j<k} floor(j*alpha) + (k-1)*(1 - floor(k*alpha)), from
     # {j*alpha} + {(k-j)*alpha} = {k*alpha} + [{j*alpha} > {k*alpha}]
     floor_sum = 0
@@ -99,14 +101,6 @@ def test_b_stream_equals_position_of_k_in_pi_sos(alpha, picks):
     assert got == want
 
 
-def streamed_first_hits(alpha, k_max):
-    """{T: the least k <= k_max with B(k) == T} along b_stream: the walk's oracle."""
-    first = {}
-    for k, b in islice(sl.b_stream(alpha), k_max):
-        first.setdefault(b, k)
-    return first
-
-
 # small quotients in the periodic block and surds of small d, where the walk
 # stays short (a pre-period may still hold a quotient up to 10^5), and large
 # quotients, where the target is hit early or the walk gives up
@@ -126,14 +120,14 @@ walk_slopes = st.one_of(
     late=st.booleans(),
 )
 def test_b_range_search_equals_the_streamed_first_hit(alpha, target, k_max, late):
-    first = streamed_first_hits(copy.deepcopy(alpha), k_max)
+    first = first_hits(copy.deepcopy(alpha), k_max)
     if late:  # most targets are hit below 16*(T + 1); pick one the blocks decide
         targets = [t for t in range(401) if first.get(t, k_max + 1) >= 16 * (t + 1)]
         target = targets[target % len(targets)] if targets else target
     k = sl.b_range_search(copy.deepcopy(alpha), target, k_max)
     assert k == first.get(target)
     if k is not None and k >= 16 * (target + 1):  # a hit of the walk
-        assert sl.b_alpha(alpha, k) == target
+        assert b_alpha(alpha, k) == target
 
 
 # one large quotient near the start, where a large target leaves the whole
@@ -156,7 +150,7 @@ large_target_slopes = st.one_of(
     taken=st.booleans(),
 )
 def test_large_target_b_range_search_equals_the_streamed_first_hit(alpha, k_max, pick, taken):
-    first = streamed_first_hits(copy.deepcopy(alpha), k_max)
+    first = first_hits(copy.deepcopy(alpha), k_max)
     targets = sorted(t for t in first if 16 * t >= k_max) if taken else []
     target = targets[pick % len(targets)] if targets else k_max // 16 + pick % k_max
     assert sl.b_range_search(copy.deepcopy(alpha), target, k_max) == first.get(target)
@@ -165,31 +159,7 @@ def test_large_target_b_range_search_equals_the_streamed_first_hit(alpha, k_max,
 @settings(max_examples=60, deadline=None, database=None)
 @given(alpha=slopes, m=st.integers(1, 300))
 def test_sign_formula_equals_sign_of_sorted_order(alpha, m):
-    assert sl.sign_formula(alpha, m) == sl.sign_direct(sl.pi_direct(alpha, m))
-
-
-def streamed_sign_sum(alpha, upto):
-    """sign_sum size by size along the floors stream: the reduction's oracle."""
-    cur = total = peak = 1  # size 1
-    floors = alpha.floors(2, 2)
-    for f in islice(floors, (upto - 1) // 2):
-        if f & 1:
-            cur = -cur
-        total += 2 * cur
-        peak = max(peak, abs(total))
-    if upto % 2 == 0:
-        if next(floors) & 1:
-            cur = -cur
-        total += cur
-        peak = max(peak, abs(total))
-    floors.close()
-    return total, peak
-
-
-def streamed_sign(alpha, m):
-    """The sign formula's parity summed along the floors stream."""
-    odd = sum(f & 1 for f in islice(alpha.floors(2, 2), m // 2))
-    return -1 if odd % 2 else 1
+    assert sl.sign_formula(alpha, m) == sl.sign_direct(pi_direct(alpha, m))
 
 
 def denominators(alpha, limit=2 * 10**5):
@@ -211,9 +181,9 @@ def test_sign_sum_and_sign_equal_the_streamed_ones(alpha, pick):
     dens = denominators(probe)
     q = dens[pick % len(dens)]
     for upto in (1, 2, 3, q - 1, q, q + 1):
-        assert sl.sign_sum(reduced, upto) == streamed_sign_sum(streamed, upto), upto
+        assert sl.sign_sum(reduced, upto) == streamed_sign_sum(streamed, upto)[1:], upto
         assert reduced.stats == streamed.stats, upto
-        assert sl.sign_formula(signs, upto) == streamed_sign(streamed_signs, upto), upto
+        assert sl.sign_formula(signs, upto) == streamed_sign_sum(streamed_signs, upto)[0], upto
         assert signs.stats["refine_steps"] == streamed_signs.stats["refine_steps"], upto
 
 
@@ -337,20 +307,6 @@ def test_csv_rows_equal_csv_writer(header, rows):
     w.writerow(header)
     w.writerows(rows)
     assert got.getvalue() == want.getvalue()
-
-
-def walked_cycles(line):
-    """Cycles of a one-line permutation, walked from each least unseen index."""
-    seen, out = set(), []
-    for start in range(1, len(line) + 1):
-        if start not in seen:
-            cyc, j = [start], line[start - 1]
-            while j != start:
-                cyc.append(j)
-                j = line[j - 1]
-            seen.update(cyc)
-            out.append(tuple(cyc))
-    return out
 
 
 @settings(max_examples=100, deadline=None, database=None)

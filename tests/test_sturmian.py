@@ -7,6 +7,7 @@ from mpmath import mp
 
 import sturmlab as sl
 from sturmlab import sturmian
+from sturmlab.oracles import pi_direct
 from sturmlab.selftest import FACTORS_INV_E_6, WORD_PREFIX_INV_E
 from conftest import MP_VALUES, make_slope, mp_floor
 
@@ -92,7 +93,7 @@ def test_factor_set_from_perm_agrees_with_word_route(named_slope):
     name, alpha = named_slope
     for n in (1, 2, 3, 6, 11, 17):
         via_word = sl.factor_set(alpha, n)
-        via_perm = sl.factor_set_from_perm(sl.pi_direct(alpha, n))
+        via_perm = sl.factor_set_from_perm(pi_direct(alpha, n))
         assert via_word.factors == via_perm.factors
 
 
