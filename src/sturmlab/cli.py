@@ -169,13 +169,6 @@ def _run_to_file(args) -> int:
             os.unlink(tmp)
 
 
-def _sizes(args) -> range:
-    """The sizes --from..--to of table and integral."""
-    if not 1 <= args.start <= args.end:
-        raise ValueError(f"bad range {args.start}..{args.end}")
-    return range(args.start, args.end + 1)
-
-
 def cmd_word(args):
     if args.n < 1:
         raise ValueError("n must be >= 1")
@@ -216,12 +209,10 @@ def cmd_perm(args):
 
 
 def cmd_table(args):
-    alpha = _slope(args)
-    sizes = _sizes(args)
-    rows = []
-    for n, first, last in permtool.range_extremes(alpha, sizes.start, sizes[-1]):
-        sign, order = permtool.sos_sign_order(n, first, last)
-        rows.append([n, sign, str(order)])
+    rows = [
+        [n, sign, str(order)]
+        for n, sign, order in permtool.range_sign_orders(_slope(args), args.start, args.end)
+    ]
     header = ["n", "sign", "order"]
     return header, rows, {"alpha": args.alpha, "rows": [dict(zip(header, r)) for r in rows]}
 
@@ -239,9 +230,8 @@ def cmd_integral(args):
     header = ["n", "integral", "decimal", "cells", "coverage_ok"]
     rows = []
     jrows = []
-    for n in _sizes(args):
-        res = farey.exact_integral(n)
-        dec = float(res.value)
+    for res in farey.exact_integral(args.start, args.end):
+        n, dec = res.n, float(res.value)
         ok = res.coverage == 1
         if args.format == "tsv":
             rows.append([n, repr(dec)])  # two-column plot data

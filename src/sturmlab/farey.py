@@ -3,9 +3,13 @@
 The ordering permutation of size n is constant on each open interval between
 adjacent order-n Farey fractions a/b < c/d.  There the least {k x} is at
 k = b and the greatest at k = d, so integrating its order over (0, 1) is an
-exact sum of Sos orders over the coprime pairs b, d <= n < b + d.  The sort
-at a cell's mediant (:func:`perm_on_cell`) checks one cell per size; the
-cells as objects are ``oracles.farey_cells`` and ``oracles.cell_containing``.
+exact sum of Sos orders over the coprime pairs b, d <= n < b + d.  A pair
+is a cell at every size from max(b, d) to b + d - 1, and the ordering at
+size n - 1 is that at size n with index n deleted, so
+:func:`exact_integral` sweeps a range of sizes with one Sos line per pair.
+The sort at a cell's mediant (:func:`perm_on_cell`) checks one cell per
+size; the cells as objects are ``oracles.farey_cells`` and
+``oracles.cell_containing``.
 
 The scans over sizes need no cell.  :func:`sign_sum` folds the signs along
 the floor line.  :func:`b_range_search` finds the least k with B(k) = T by
@@ -24,6 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from operator import mul
 from typing import Iterator
 
 from .errors import (
@@ -31,7 +36,7 @@ from .errors import (
 )
 from .irrational import IrrationalSlope, floor_sum
 from .permtool import (
-    FracPermutation, _sign_walk, b_stream, extreme_positions, pi_sos, sos_line, sos_sign_order
+    FracPermutation, _sign_order, _sign_walk, _sos_line, b_stream, extreme_positions, pi_sos
 )
 
 
@@ -80,31 +85,56 @@ class IntegralResult:
     coverage: Fraction  # total cell length; must be exactly 1
 
 
-def exact_integral(n: int) -> IntegralResult:
-    # The cell between adjacent a/b < c/d has length 1/(b*d), since
-    # bc - ad = 1, and its permutation is the Sos line of (n, b, d); so the
-    # orders and the pair counts are summed per denominator b*d, and those
-    # sums are added as integers over the common denominator: one Fraction
-    # each for the value and the coverage.
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    pairs = list(_farey_pairs(n))
-    # the middle cell is also sorted at its mediant, an independent check
-    # that the extremes lie at the cell's denominators
-    (a, b), (c, d) = pairs[len(pairs) // 2]
-    cell = FareyCell(Fraction(a, b), Fraction(c, d), Fraction(a + c, b + d))
-    if perm_on_cell(cell, n).one_line != tuple(sos_line(n, b, d)):
-        raise RecurrenceMismatch(f"Sos line differs from the sort at {cell.witness}")
-    orders: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    for (_, b), (_, d) in pairs:
-        den = b * d
-        orders[den] = orders.get(den, 0) + sos_sign_order(n, b, d)[1]
-        counts[den] = counts.get(den, 0) + 1
-    common = math.lcm(*orders)
-    total = Fraction(sum(s * (common // d) for d, s in orders.items()), common)
-    coverage = Fraction(sum(c * (common // d) for d, c in counts.items()), common)
-    return IntegralResult(n, total, len(pairs), coverage)
+def exact_integral(start: int, end: int) -> list[IntegralResult]:
+    """The exact integral of the order over (0, 1) at each size n = start..end.
+
+    The cell between adjacent a/b < c/d is one at every size
+    max(b, d) <= n < b + d, with the least {k x} at k = b and the greatest
+    at k = d, and the ordering of 1..n - 1 on it is that of 1..n with index
+    n deleted; so its Sos line is built once, at min(b + d - 1, end), and
+    walked (:func:`permtool._sign_order`) at each size down to
+    max(b, d, start), losing its n after each.  The cells are those of size
+    start and, under each, the Stern-Brocot children a/b < (a+c)/(b+d) < c/d
+    while b + d <= end.  The cell right of 1/2, the middle one at each size
+    (the only one at n = 1), is also sorted at its mediant
+    (:func:`perm_on_cell`), an independent check that the extremes lie at
+    the cell's denominators.
+
+    A cell has length 1/(b*d), since bc - ad = 1; so at each size the orders
+    and the lengths are added as integers over the common denominator of
+    its cells, one Fraction each for the value and the coverage.
+    """
+    if not 1 <= start <= end:
+        raise ValueError(f"bad range {start}..{end}")
+    dens: list[list[int]] = [[] for _ in range(start, end + 1)]  # b*d of each cell, per size
+    orders: list[list[int]] = [[] for _ in range(start, end + 1)]
+    stack = [(a, b, c, d) for (a, b), (c, d) in _farey_pairs(start)]
+    while stack:
+        a, b, c, d = stack.pop()
+        if b + d <= end:
+            stack += (a, b, a + c, b + d), (a + c, b + d, c, d)
+        n, bottom, den = min(b + d - 1, end), max(b, d, start), b * d
+        middle = 2 * a == b or b + d == 2
+        line = _sos_line(n, b, d)
+        line.insert(0, 0)  # line[i] is the index of rank i
+        while True:
+            if middle:
+                cell = FareyCell(Fraction(a, b), Fraction(c, d), Fraction(a + c, b + d))
+                if perm_on_cell(cell, n).one_line != tuple(line[1:]):
+                    raise RecurrenceMismatch(f"Sos line differs from the sort at {cell.witness}")
+            dens[n - start].append(den)
+            orders[n - start].append(_sign_order(line, b, d)[1])
+            if n == bottom:
+                break
+            line.remove(n)
+            n -= 1
+    results = []
+    for n, ds, os in zip(range(start, end + 1), dens, orders):
+        common = math.lcm(*set(ds))
+        weights = list(map(common.__floordiv__, ds))
+        total = Fraction(sum(map(mul, os, weights)), common)
+        results.append(IntegralResult(n, total, len(ds), Fraction(sum(weights), common)))
+    return results
 
 
 def sign_sum(alpha: IrrationalSlope, upto: int) -> tuple[int, int]:
@@ -146,7 +176,7 @@ def _block_hits(alpha: IrrationalSlope, target: int, k0: int, n: int) -> list[in
     ranks.
     """
     below, seen, hits = 0, [], []
-    for i in sos_line(n, *extreme_positions(alpha, n), 8 * (target + 1)):
+    for i in _sos_line(n, *extreme_positions(alpha, n), 8 * (target + 1)):
         if i < k0:
             below += 1
             if below > target:

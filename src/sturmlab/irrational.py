@@ -358,14 +358,6 @@ class IrrationalSlope:
             return -1 if self.floor_multiple(k) < t else 1
         return -1 if self.floor_multiple(-k) >= -t else 1
 
-    def compare_frac_to_rational(self, r: Fraction) -> int:
-        """Sign of {value} - r for rational r in [0, 1]; never zero."""
-        r = Fraction(r)
-        # q*{a} < p  iff  q*a < p + q*floor(a)
-        return self.compare_multiple(
-            r.denominator, r.numerator + r.denominator * self.floor_multiple(1)
-        )
-
     def frac_compare(self, i: int, j: int) -> int:
         """Compare {i*value} with {j*value}: -1, 0 or +1.
 

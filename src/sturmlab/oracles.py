@@ -57,13 +57,22 @@ def farey_cells(n: int) -> list[FareyCell]:
     return cells
 
 
+def compare_frac_to_rational(alpha: IrrationalSlope, r: Fraction) -> int:
+    """Sign of {alpha} - r for rational r in [0, 1]; never zero."""
+    r = Fraction(r)
+    # q*{a} < p  iff  q*a < p + q*floor(a)
+    return alpha.compare_multiple(
+        r.denominator, r.numerator + r.denominator * alpha.floor_multiple(1)
+    )
+
+
 def cell_containing(alpha: IrrationalSlope, n: int) -> FareyCell:
     """The order-n cell holding {alpha}, located by exact binary search."""
     cells = farey_cells(n)
     lo, hi = 0, len(cells) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if alpha.compare_frac_to_rational(cells[mid].right) > 0:
+        if compare_frac_to_rational(alpha, cells[mid].right) > 0:
             lo = mid + 1
         else:
             hi = mid

@@ -8,8 +8,10 @@ once the indices of the least and the greatest fractional part are known,
 each next index follows from the previous one by one integer step.  Both
 extremes lie among the semiconvergent denominators <= n of the slope
 (:func:`extreme_positions`), so an ordering costs O(log n) exact comparisons
-and O(n) integer steps; :func:`sos_sign_order` reads the sign and the order
-off it for the table and the Farey integral.  The tests check it against
+and O(n) integer steps.  The table and the Farey integral read the sign and
+the order off one cycle walk (:func:`_sign_order`), and sweep a range of
+sizes with one line: the ordering of 1..n-1 is that of 1..n with index n
+deleted (:func:`range_sign_orders`).  The tests check the ordering against
 a comparison sort, ``oracles.pi_direct``.
 
 B(k), the number of q < k with {q*alpha} < {k*alpha}, is a floor sum:
@@ -177,7 +179,7 @@ def range_extremes(alpha: IrrationalSlope, start: int, end: int) -> list[tuple[i
     return rows
 
 
-def sos_line(n: int, first: int, last: int, length: int | None = None) -> list[int]:
+def _sos_line(n: int, first: int, last: int, length: int | None = None) -> list[int]:
     """The three-distance (Sos) recurrence from first, as a one-line list.
 
     With first and last the indices of the least and the greatest {k*alpha},
@@ -201,33 +203,51 @@ def sos_line(n: int, first: int, last: int, length: int | None = None) -> list[i
     return line
 
 
-def sos_sign_order(n: int, first: int, last: int) -> tuple[int, int]:
-    """(sign, order) of sos_line(n, first, last), with no permutation object.
+def _sign_order(line: list[int], first: int, last: int) -> tuple[int, int]:
+    """(sign, order) of the ordering whose rank-i index is line[i], line[0] == 0.
 
-    One cycle walk over a bytearray of seen indices.  RecurrenceMismatch
-    unless 1 <= first, last <= n, the line ends at last and every walk meets
-    no seen index before its start: that proves a bijection without a sort.
+    One cycle walk over a copy of the line, each visited entry set to 0, with
+    no permutation object.  The entries must lie in 0..n, n = len(line) - 1:
+    those of :func:`_sos_line` with extremes in 1..n do, and so do those of a
+    bijection with its greatest index deleted.  RecurrenceMismatch unless
+    line[1] == first, line[-1] == last and every walk meets no visited index
+    before its start: that proves a bijection without a sort.
     """
-    if not (1 <= first <= n and 1 <= last <= n):
-        raise RecurrenceMismatch(f"extremes ({first}, {last}) outside 1..{n}")
-    line = sos_line(n, first, last)
-    if line[-1] != last:
-        raise RecurrenceMismatch(f"recurrence for n={n} does not end at {last}")
-    line.insert(0, 0)  # line[i] is the index of rank i
-    seen = bytearray(n + 1)
+    n = len(line) - 1
+    if n < 1 or line[1] != first or line[-1] != last:
+        raise RecurrenceMismatch(f"recurrence for n={n} does not run from {first} to {last}")
+    p = line.copy()
     lengths = []
-    start = 1
-    while start > 0:
-        seen[start] = 1
-        j, length = line[start], 1
-        while not seen[j]:
-            seen[j] = 1
-            j, length = line[j], length + 1
-        if j != start:
-            raise RecurrenceMismatch(f"recurrence produced a non-bijection for n={n}")
-        lengths.append(length)
-        start = seen.find(0, start)
+    for start in range(1, n + 1):
+        if j := p[start]:
+            p[start] = 0
+            length = 1
+            while k := p[j]:
+                p[j] = 0
+                j = k
+                length += 1
+            if j != start:
+                raise RecurrenceMismatch(f"recurrence produced a non-bijection for n={n}")
+            lengths.append(length)
     return -1 if (n - len(lengths)) % 2 else 1, math.lcm(*lengths)
+
+
+def range_sign_orders(alpha: IrrationalSlope, start: int, end: int) -> list[tuple[int, int, int]]:
+    """(n, sign, order) of the ordering permutation for n = start..end.
+
+    The ordering of 1..n-1 is that of 1..n with index n deleted, so one Sos
+    line is built, at end, and each size is walked (:func:`_sign_order`) and
+    then loses its n.  Each size's first and last entries are checked against
+    :func:`range_extremes`.
+    """
+    rows = range_extremes(alpha, start, end)
+    line = [0, *_sos_line(end, *rows[-1][1:])]
+    out = []
+    for n, first, last in reversed(rows):
+        out.append((n, *_sign_order(line, first, last)))
+        line.remove(n)
+    out.reverse()
+    return out
 
 
 def pi_sos(alpha: IrrationalSlope, n: int) -> FracPermutation:
@@ -236,13 +256,13 @@ def pi_sos(alpha: IrrationalSlope, n: int) -> FracPermutation:
     This is the production route.  :func:`extreme_positions` finds the
     indices of the least and the greatest fractional part among the
     semiconvergent denominators <= n with O(log n) exact comparisons; by the
-    three distance theorem :func:`sos_line` then needs no further comparison.
+    three distance theorem :func:`_sos_line` then needs no further comparison.
     A result that is not a permutation of 1..n raises RecurrenceMismatch.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     try:
-        return FracPermutation(n, tuple(sos_line(n, *extreme_positions(alpha, n))))
+        return FracPermutation(n, tuple(_sos_line(n, *extreme_positions(alpha, n))))
     except ValueError:
         raise RecurrenceMismatch(f"recurrence produced a non-bijection for n={n}") from None
 

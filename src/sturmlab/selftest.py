@@ -190,16 +190,24 @@ def run(seed: int = 0, report=print) -> int:
             break
     check("brange-progressions-vs-stream", ok, detail)
 
-    check("integral-1", farey.exact_integral(1).value == 1)
-    check("integral-2", farey.exact_integral(2).value == Fraction(3, 2))
+    check("integral-1", farey.exact_integral(1, 1)[0].value == 1)
+    check("integral-2", farey.exact_integral(2, 2)[0].value == Fraction(3, 2))
     ok, detail = True, ""
     for cell in oracles.farey_cells(6):
         pc = farey.perm_on_cell(cell, 6)
-        got = permtool.sos_sign_order(6, cell.left.denominator, cell.right.denominator)
+        b, d = cell.left.denominator, cell.right.denominator
+        got = permtool._sign_order([0, *permtool._sos_line(6, b, d)], b, d)
         if got != (permtool.sign_direct(pc), permtool.order(pc)):
             ok, detail = False, f"cell {cell.left}..{cell.right}: got {got}"
             break
     check("integral-cells-6", ok, detail)
+    # the sweep over sizes 1..8 against each size's cells sorted at their mediants
+    got = [r.value for r in farey.exact_integral(1, 8)]
+    want = [
+        sum((c.right - c.left) * permtool.order(farey.perm_on_cell(c, n)) for c in oracles.farey_cells(n))
+        for n in range(1, 9)
+    ]
+    check("integral-sweep-1..8", got == want, f"got {got}, want {want}")
     check("volume-1/e-6", matrep.simplex_volume(inv_e, 6) == Fraction(1, 720))
     slopes = [parse_slope(x) for x in ("1/e", "phi", "e", "cf:[0;2,32003,...]")]
     sos = [permtool.pi_sos(x, n) for x in slopes for n in range(1, 41)]

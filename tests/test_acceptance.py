@@ -206,9 +206,9 @@ def test_c11_golden_ratio_sign_sum_stays_below_ten():
 
 def test_c12_exact_integral_values_and_sweep(run_cli):
     started = time.monotonic()
-    assert sl.exact_integral(1).value == 1
-    assert sl.exact_integral(2).value == Fraction(3, 2)
-    i35, i36, i37 = (sl.exact_integral(n).value for n in (35, 36, 37))
+    assert sl.exact_integral(1, 1)[0].value == 1
+    assert sl.exact_integral(2, 2)[0].value == Fraction(3, 2)
+    i35, i36, i37 = (r.value for r in sl.exact_integral(35, 37))
     assert i35 > i36 > i37
 
     rc, out, err = run_cli(["integral", "--to", "60", "--format", "tsv"])

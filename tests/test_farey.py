@@ -1,6 +1,7 @@
 """Farey cells, the exact order integral, experiments, and congruence."""
 
 import math
+import random
 from itertools import islice
 from fractions import Fraction
 
@@ -94,14 +95,14 @@ def test_perm_on_cell_guards_against_bad_witness():
 
 
 def test_integral_known_small_values():
-    assert sl.exact_integral(1).value == 1
-    assert sl.exact_integral(2).value == Fraction(3, 2)
-    assert sl.exact_integral(3).value == Fraction(11, 6)
+    assert sl.exact_integral(1, 1)[0].value == 1
+    assert sl.exact_integral(2, 2)[0].value == Fraction(3, 2)
+    assert sl.exact_integral(3, 3)[0].value == Fraction(11, 6)
 
 
 def test_integral_against_brute_oracle():
     for n in range(1, 9):
-        result = sl.exact_integral(n)
+        [result] = sl.exact_integral(n, n)
         assert result.value == brute_integral(n)
         assert result.coverage == 1
         assert result.cells == totient_sum(n)
@@ -115,13 +116,15 @@ def test_sos_kernel_matches_perm_on_cell():
         for cell in farey_cells(n):
             b, d = cell.left.denominator, cell.right.denominator
             pc = sl.perm_on_cell(cell, n)
-            assert tuple(sl.permtool.sos_line(n, b, d)) == pc.one_line, (n, b, d)
-            assert sl.permtool.sos_sign_order(n, b, d) == (sl.sign_direct(pc), sl.order(pc))
+            line = sl.permtool._sos_line(n, b, d)
+            assert tuple(line) == pc.one_line, (n, b, d)
+            walk = sl.permtool._sign_order([0, *line], b, d)
+            assert walk == (sl.sign_direct(pc), sl.order(pc))
 
 
 def test_integral_equals_cell_sum():
     for n in range(1, 61):
-        result = sl.exact_integral(n)
+        [result] = sl.exact_integral(n, n)
         assert (result.value, result.cells) == cell_sum_integral(n), n
         assert result.coverage == 1
 
@@ -144,14 +147,77 @@ def test_denominator_pairs_cover_the_unit_interval(n):
 
 
 def test_integral_checks_the_middle_cell_against_the_sort(monkeypatch):
-    monkeypatch.setattr(sl.farey, "sos_line", lambda n, b, d: list(range(1, n + 1)))
+    monkeypatch.setattr(sl.farey, "_sos_line", lambda n, b, d: list(range(1, n + 1)))
     with pytest.raises(sl.RecurrenceMismatch):
-        sl.exact_integral(5)
+        sl.exact_integral(5, 5)
+
+
+def test_integral_fails_when_the_middle_cell_sorts_otherwise(monkeypatch):
+    # a sort that disagrees with the swept line at the middle cell must stop
+    # the sweep, at every size of a range
+    sort = sl.perm_on_cell
+    reversed_sort = lambda cell, n: sl.FracPermutation(n, sort(cell, n).one_line[::-1])
+    monkeypatch.setattr(sl.farey, "perm_on_cell", reversed_sort)
+    for start, end in ((2, 2), (3, 9), (12, 12)):
+        with pytest.raises(sl.RecurrenceMismatch):
+            sl.exact_integral(start, end)
+
+
+def test_integral_sorts_the_middle_cell_once_per_size(monkeypatch):
+    checked = []
+
+    def recording_sort(cell, n):
+        checked.append((n, cell))
+        return sort(cell, n)
+
+    sort = sl.perm_on_cell
+    monkeypatch.setattr(sl.farey, "perm_on_cell", recording_sort)
+    sl.exact_integral(1, 40)
+    cells = [farey_cells(n) for n in range(1, 41)]
+    assert sorted(checked) == [(n, cs[len(cs) // 2]) for n, cs in enumerate(cells, 1)]
 
 
 def test_integral_rejects_bad_n():
-    with pytest.raises(ValueError):
-        sl.exact_integral(0)
+    for start, end in ((0, 0), (0, 3), (3, 2), (-1, 5)):
+        with pytest.raises(ValueError, match=f"bad range {start}..{end}"):
+            sl.exact_integral(start, end)
+
+
+@pytest.mark.parametrize("start, end", [(1, 20), (1, 1), (7, 12), (12, 12)])
+def test_swept_integral_equals_the_cell_sums(start, end):
+    # one Sos line per Farey pair, losing an index per size, against each
+    # size's cells sorted at their mediants
+    results = sl.exact_integral(start, end)
+    assert [r.n for r in results] == list(range(start, end + 1))
+    for r in results:
+        assert (r.value, r.cells) == cell_sum_integral(r.n), r.n
+        assert r.coverage == 1
+
+
+def test_swept_orders_match_the_closed_forms(monkeypatch):
+    # on the cell with extremes (b, d) the ordering is multiplication by b
+    # modulo b + d with the residues above n skipped: none when b + d = n + 1,
+    # so the order is ord_{n+1}(b); and when d = n it is ord_n(b)
+    walked = []
+
+    def recording_walk(line, first, last):
+        sign, order = walk(line, first, last)
+        walked.append((len(line) - 1, first, last, order))
+        return sign, order
+
+    walk = sl.permtool._sign_order
+    monkeypatch.setattr(sl.farey, "_sign_order", recording_walk)
+    results = sl.exact_integral(1, 59)
+    assert len(walked) == sum(r.cells for r in results)
+    full = last_is_n = 0
+    for n, b, d, order in walked:
+        if b + d == n + 1:
+            full += 1
+            assert order == sl.permtool.multiplicative_order(b, n + 1), (n, b, d)
+        if d == n:
+            last_is_n += 1
+            assert order == sl.permtool.multiplicative_order(b, n), (n, b, d)
+    assert full > 1000 and last_is_n > 1000
 
 
 def test_sign_sum_matches_direct_partial_sums():
@@ -362,3 +428,22 @@ def test_only_equal_or_complementary_factor_sets_are_congruent():
         for la, da in zip(lines, dists):
             for lb, db in zip(lines, dists):
                 assert farey._isometry_exists(da, db) == (lb in (la, la[::-1])), (n, la, lb)
+
+
+def test_congruence_on_a_sample_of_larger_cells():
+    # the same conjecture past n = 16 on a seeded sample: per size, random
+    # pairs of cells, each cell with itself and each with its mirror image
+    # (cell i of m mirrors cell m - 1 - i, and has the reversed ordering)
+    rng = random.Random(2417)
+    for n in range(17, 25):
+        cells = farey_cells(n)
+        m = len(cells)
+        lines = [sl.perm_on_cell(cell, n).one_line for cell in cells]
+        picks = [(rng.randrange(m), rng.randrange(m)) for _ in range(200)]
+        picks += [(i, i) for i in rng.sample(range(m), 10)]
+        picks += [(i, m - 1 - i) for i in rng.sample(range(m), 10)]
+        for i, j in picks:
+            la, lb = lines[i], lines[j]
+            assert (lb == la[::-1]) == (i + j == m - 1) or la == lb, (n, i, j)
+            da, db = farey._factor_distances(la), farey._factor_distances(lb)
+            assert farey._isometry_exists(da, db) == (lb in (la, la[::-1])), (n, i, j)

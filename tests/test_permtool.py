@@ -170,21 +170,37 @@ def test_pi_sos_reports_a_broken_recurrence(monkeypatch):
 def test_sos_kernel_rejects_pairs_that_are_not_extremes():
     # the extremes of some slope at size n are exactly the Farey denominator
     # pairs: coprime b, d <= n < b + d; every other pair repeats an index or
-    # ends elsewhere than at last, and the kernel must say so, not loop or
-    # index out of range
+    # ends elsewhere than at last, and the walk must say so, not loop or
+    # index out of range; a line that does not run from first to last fails too
     for n in range(1, 31):
         cells = {(b, d) for (_, b), (_, d) in sl.farey._farey_pairs(n)}
-        for first in range(-1, n + 3):
-            for last in range(-1, n + 3):
-                if 1 <= first <= n and 1 <= last <= n:
-                    line = sl.permtool.sos_line(n, first, last)
-                    assert len(line) == n and min(line) >= 1 and max(line) <= n
+        for first in range(1, n + 1):
+            for last in range(1, n + 1):
+                line = sl.permtool._sos_line(n, first, last)
+                assert len(line) == n and min(line) >= 1 and max(line) <= n
+                line.insert(0, 0)
                 if (first, last) in cells:
-                    sign, order = sl.permtool.sos_sign_order(n, first, last)
+                    sign, order = sl.permtool._sign_order(line, first, last)
                     assert sign in (-1, 1) and order >= 1
+                    for wrong in (-1, 0, first - 1, first + 1, last - 1, last + 1, n + 1):
+                        if wrong != first:
+                            with pytest.raises(sl.RecurrenceMismatch):
+                                sl.permtool._sign_order(line, wrong, last)
+                        if wrong != last:
+                            with pytest.raises(sl.RecurrenceMismatch):
+                                sl.permtool._sign_order(line, first, wrong)
                 else:
                     with pytest.raises(sl.RecurrenceMismatch):
-                        sl.permtool.sos_sign_order(n, first, last)
+                        sl.permtool._sign_order(line, first, last)
+
+
+def test_range_sign_orders_check_the_extremes(monkeypatch):
+    # each size's first and last entries are checked against range_extremes
+    rows = sl.permtool.range_extremes(sl.phi(), 2, 30)
+    wrong = [(n, last, first) if n == 17 else (n, first, last) for n, first, last in rows]
+    monkeypatch.setattr(sl.permtool, "range_extremes", lambda alpha, start, end: wrong)
+    with pytest.raises(sl.RecurrenceMismatch):
+        sl.permtool.range_sign_orders(sl.phi(), 2, 30)
 
 
 def test_pi_rejects_bad_n():

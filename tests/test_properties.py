@@ -269,6 +269,29 @@ def test_range_extremes_equal_extreme_positions_at_every_n(alpha, ends):
     assert sl.permtool.range_extremes(alpha, start, end) == want
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    alpha=st.one_of(
+        periodic_cfs(block_max=10),
+        periodic_cfs(),
+        surds(),
+        st.sampled_from(["e", "cf:[0;2,5000,...]", "cf:[0;3000,1,...]"]).map(sl.parse_slope),
+    ),
+    ends=st.one_of(
+        st.lists(st.integers(1, 200), min_size=2, max_size=2).map(sorted),
+        st.integers(1, 200).map(lambda n: [n, n]),
+    ),
+)
+def test_swept_table_equals_pi_sos_at_every_size(alpha, ends):
+    # table's one line at --to, losing an index per size, against pi_sos per size
+    start, end = ends
+    want = []
+    for n in range(start, end + 1):
+        pi = sl.pi_sos(alpha, n)
+        want.append((n, sl.sign_direct(pi), sl.order(pi)))
+    assert sl.permtool.range_sign_orders(alpha, start, end) == want
+
+
 def negative_surds():
     """-(a + b*sqrt(d))/c with a >= 0 and b, c >= 1: below zero."""
     d = st.integers(2, 10**9).filter(lambda d: math.isqrt(d) ** 2 != d)
