@@ -63,7 +63,6 @@ from .permtool import (
     order,
     order_prediction,
     pi_sos,
-    rho,
     sign_direct,
     sign_formula,
     three_distance_gaps,
@@ -76,7 +75,6 @@ from .sturmian import (
     factor_set_from_perm,
     word_factor_set,
     word_letter,
-    word_prefix,
 )
 
 __version__ = "0.1.0"

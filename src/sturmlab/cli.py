@@ -357,7 +357,15 @@ def main(argv=None) -> int:
     try:
         if args.out:
             return _run_to_file(args)
-        return _run(args, sys.stdout)
+        try:
+            rc = _run(args, sys.stdout)
+            sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+            return rc
+        except BrokenPipeError:
+            # the reader closed stdout: stop quietly, and point stdout at
+            # devnull so that the flush at interpreter exit cannot fail too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 0
     except (SturmlabError, OSError) as exc:
         code = type(exc).__name__
         print(f"error[{code}]: {exc}", file=sys.stderr)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import mul
-from typing import Iterator
 
 from .errors import (
     CoefficientsExhausted, RecurrenceMismatch, RefinementBudgetExceeded, WitnessCollision
@@ -51,16 +50,6 @@ class FareyCell:
     left: Fraction
     right: Fraction
     witness: Fraction
-
-
-def _farey_pairs(n: int) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
-    # standard next-term recurrence for Farey neighbours
-    a, b, c, d = 0, 1, 1, n
-    while (c, d) != (1, 1):
-        yield (a, b), (c, d)
-        k = (n + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
-    yield (a, b), (1, 1)
 
 
 def perm_on_cell(cell: FareyCell, n: int) -> FracPermutation:
@@ -93,12 +82,13 @@ def exact_integral(start: int, end: int) -> list[IntegralResult]:
     at k = d, and the ordering of 1..n - 1 on it is that of 1..n with index
     n deleted; so its Sos line is built once, at min(b + d - 1, end), and
     walked (:func:`permtool._sign_order`) at each size down to
-    max(b, d, start), losing its n after each.  The cells are those of size
-    start and, under each, the Stern-Brocot children a/b < (a+c)/(b+d) < c/d
-    while b + d <= end.  The cell right of 1/2, the middle one at each size
-    (the only one at n = 1), is also sorted at its mediant
-    (:func:`perm_on_cell`), an independent check that the extremes lie at
-    the cell's denominators.
+    max(b, d, start), losing its n after each.  The cells are those of the
+    Stern-Brocot descent from 0/1 < 1/1, with the children a/b < (a+c)/(b+d)
+    < c/d of each pair while b + d <= end; a pair with b + d <= start is a
+    cell at no size of the range, so only its children are visited.  The
+    cell right of 1/2, the middle one at each size (the only one at n = 1),
+    is also sorted at its mediant (:func:`perm_on_cell`), an independent
+    check that the extremes lie at the cell's denominators.
 
     A cell has length 1/(b*d), since bc - ad = 1; so at each size the orders
     and the lengths are added as integers over the common denominator of
@@ -108,11 +98,13 @@ def exact_integral(start: int, end: int) -> list[IntegralResult]:
         raise ValueError(f"bad range {start}..{end}")
     dens: list[list[int]] = [[] for _ in range(start, end + 1)]  # b*d of each cell, per size
     orders: list[list[int]] = [[] for _ in range(start, end + 1)]
-    stack = [(a, b, c, d) for (a, b), (c, d) in _farey_pairs(start)]
+    stack = [(0, 1, 1, 1)]
     while stack:
         a, b, c, d = stack.pop()
         if b + d <= end:
             stack += (a, b, a + c, b + d), (a + c, b + d, c, d)
+        if b + d <= start:
+            continue
         n, bottom, den = min(b + d - 1, end), max(b, d, start), b * d
         middle = 2 * a == b or b + d == 2
         line = _sos_line(n, b, d)
@@ -239,22 +231,26 @@ def _progression_hit(alpha: IrrationalSlope, target: int, k_lo: int, k_max: int)
 def b_range_search(alpha: IrrationalSlope, target: int, k_max: int) -> int | None:
     """Least k <= k_max with B(k) == target, or None.
 
-    The k below 16*(target + 1) come from :func:`b_stream`; then each block
-    k0..min(2*k0 - 1, k_max) is searched by :func:`_block_hits`, about
-    2*(target + 1) ranks for a slope of bounded partial quotients, so a
-    search takes O(target * log k_max) steps.  A negative target, a k_max no
-    larger than 16*(target + 1), or a block the walk gives up on leaves the
-    rest of the range, k0..k_max, to :func:`_progression_hit` when its loops
-    take at most k_max/8 steps; else, or when the floor line to k_max raises,
-    the stream reads on from where it stopped, so the answer and the k that
-    raises are the stream's.  stats["floors"] counts the streamed floors and
-    those that :func:`extreme_positions` reads.
+    B(1) = 0 and 0 <= B(k) <= k - 1, so a target below 0 or at least k_max
+    is None at once, with no floor read.  Else the k below 16*(target + 1)
+    come from :func:`b_stream`; then each block k0..min(2*k0 - 1, k_max) is
+    searched by :func:`_block_hits`, about 2*(target + 1) ranks for a slope
+    of bounded partial quotients, so a search takes O(target * log k_max)
+    steps.  A k_max no larger than 16*(target + 1), or a block the walk
+    gives up on, leaves the rest of the range, k0..k_max, to
+    :func:`_progression_hit` when its loops take at most k_max/8 steps;
+    else, or when the floor line to k_max raises, the stream reads on from
+    where it stopped, so the answer and the k that raises are the stream's.
+    stats["floors"] counts the streamed floors and those that
+    :func:`extreme_positions` reads.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if not 0 <= target < k_max:
+        return None
     stream = b_stream(alpha)
     k0 = 16 * (target + 1)
-    if target < 0 or k0 >= k_max:
+    if k0 >= k_max:
         k0 = 1
     else:
         for k, b in islice(stream, k0 - 1):

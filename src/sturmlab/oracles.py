@@ -12,7 +12,7 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from .errors import RefinementBudgetExceeded
-from .farey import FareyCell, _farey_pairs
+from .farey import FareyCell
 from .irrational import IrrationalSlope
 from .matrep import FactorMatrix
 from .permtool import FracPermutation, b_stream
@@ -47,14 +47,23 @@ def first_hits(alpha: IrrationalSlope, k_max: int, k_lo: int = 1) -> dict[int, i
 
 
 def farey_cells(n: int) -> list[FareyCell]:
-    """All cells of the order-n Farey dissection of (0, 1), left to right."""
+    """All cells of the order-n Farey dissection of (0, 1), left to right.
+
+    Each right end c/d follows from the cell a/b < c/d before it by the
+    next-term recurrence of Farey neighbours, independent of the
+    Stern-Brocot descent that ``farey.exact_integral`` takes.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     cells = []
-    for (a, b), (c, d) in _farey_pairs(n):
+    a, b, c, d = 0, 1, 1, n
+    while True:
         assert b * c - a * d == 1, "not adjacent Farey fractions"
         cells.append(FareyCell(Fraction(a, b), Fraction(c, d), Fraction(a + c, b + d)))
-    return cells
+        if d == 1:
+            return cells
+        k = (n + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
 
 
 def compare_frac_to_rational(alpha: IrrationalSlope, r: Fraction) -> int:

@@ -73,14 +73,6 @@ class FracPermutation:
     def identity(cls, n: int) -> "FracPermutation":
         return cls(n, tuple(range(1, n + 1)))
 
-    @classmethod
-    def from_cycles(cls, n: int, cycles: Sequence[Sequence[int]]) -> "FracPermutation":
-        line = list(range(1, n + 1))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + type(cyc)([cyc[0]])):
-                line[a - 1] = b
-        return cls(n, tuple(line))
-
     def inverse(self) -> "FracPermutation":
         inv = [0] * self.n
         for i, v in enumerate(self.one_line, start=1):
@@ -97,18 +89,9 @@ class FracPermutation:
 
     __mul__ = compose
 
-    def embed(self, m: int) -> "FracPermutation":
-        """The same permutation inside S_m, fixing n+1..m."""
-        if m < self.n:
-            raise ValueError("cannot embed into a smaller symmetric group")
-        return FracPermutation(m, self.one_line + tuple(range(self.n + 1, m + 1)))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its least element, sorted by it."""
         return list(self._cycles)
-
-    def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted(map(len, self._cycles), reverse=True))
 
     def fixed_points(self) -> list[int]:
         return [i for i in range(1, self.n + 1) if self(i) == i]
@@ -283,17 +266,6 @@ def b_stream(alpha: IrrationalSlope) -> Iterator[tuple[int, int]]:
         k += 1
         yield k, b
         prev = f
-
-
-def rho(n: int, k: int) -> FracPermutation:
-    """The (n-k)-cycle (n, n-1, ..., k+1) inside S_n; identity when k = n-1."""
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-    line = list(range(1, n + 1))
-    for i in range(k + 2, n + 1):
-        line[i - 1] = i - 1
-    line[k] = n
-    return FracPermutation(n, tuple(line))
 
 
 def sign_direct(pi: FracPermutation) -> int:

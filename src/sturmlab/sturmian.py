@@ -64,10 +64,6 @@ def word_letter(spec: WordSpec, i: int) -> int:
     return _term(spec, i + 1) - _term(spec, i)
 
 
-def word_prefix(spec: WordSpec, length: int) -> list[int]:
-    return [word_letter(spec, i) for i in range(length)]
-
-
 def characteristic_prefix(alpha: IrrationalSlope, length: int) -> list[int]:
     """First letters of the characteristic word of the slope.
 

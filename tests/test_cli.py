@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -148,14 +149,28 @@ def test_brange_found_and_missing(run_cli):
 )
 def test_brange_stopping_at_k_1_reads_one_floor(run_cli, target, kmax, k, floors):
     # B(1) = 0 needs floor(alpha) alone, so a search that stops at k = 1 has
-    # read exactly one floor; at kmax = 1 the floor line has q_m = 1, where
-    # B(k) = B(1) + (k - 1)*D(1) decides the miss with no floor read
+    # read exactly one floor; B(k) <= k - 1 < kmax decides the miss with none
     rc, out, err = run_cli(
         ["brange", "--alpha", "phi", "--target", target, "--kmax", kmax, "--format", "json"]
     )
     assert rc == 0
     doc = json.loads(out)
     assert (doc["k"], doc["meta"]["floors"]) == (k, floors)
+
+
+@pytest.mark.parametrize(
+    "alpha, target", [("e", -1), ("phi", 10**12)], ids=["below_0", "at_kmax"]
+)
+def test_brange_answers_targets_outside_0_to_kmax_at_once(run_cli, alpha, target):
+    # B(1) = 0 and 0 <= B(k) <= k - 1, so no k <= kmax has B(k) < 0 or
+    # B(k) >= kmax; a search that read floors would raise under budget 10
+    rc, out, err = run_cli(
+        ["brange", "--alpha", alpha, "--target", str(target), "--kmax", str(10**12),
+         "--budget", "10", "--format", "json"]
+    )
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert (doc["k"], doc["meta"]["floors"]) == (None, 0)
 
 
 def test_brange_to_10_30_walks_blocks(run_cli):
@@ -415,6 +430,42 @@ def test_out_into_missing_directory_reports_error(run_cli, tmp_path):
     assert err.startswith("error[FileNotFoundError]")
     assert len(err.strip().splitlines()) == 1
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        (["integral", "--from", "45", "--to", "50"], ""),
+        (["integral", "--from", "45", "--to", "50"], "1"),
+        (["perm", "--alpha", "e", "--n", "20000"], ""),
+    ],
+    ids=["at_flush", "unbuffered", "while_writing"],
+)
+def test_closed_stdout_ends_the_run_quietly(argv, unbuffered):
+    # a reader that stops early, as in `| head -2`: a buffered short output
+    # fails only when stdout is flushed, an unbuffered or long one while the
+    # rows are written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sturmlab.cli", *argv],
+            cwd=PACKAGE.parent, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_failing_out_write_reports_error(run_cli):
+    rc, out, err = run_cli(["perm", "--alpha", "e", "--n", "2000", "--out", "/dev/full"])
+    assert rc == 1
+    assert err.startswith("error[OSError]")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_failed_command_leaves_no_out_file(run_cli, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 import sturmlab as sl
-from sturmlab.oracles import b_alpha, pi_direct
+from sturmlab.oracles import b_alpha, farey_cells, pi_direct
 from conftest import MP_VALUES, insert_by_frac, make_slope, mp_frac, random_perm
 
 
@@ -42,12 +42,10 @@ def test_identity_and_call():
         e(5)
 
 
-def test_from_cycles_and_cycle_string():
-    pi = sl.FracPermutation.from_cycles(5, [(1, 5, 3, 4)])
-    assert pi.one_line == (5, 2, 4, 1, 3)
+def test_cycles_and_cycle_string():
+    pi = sl.FracPermutation(5, (5, 2, 4, 1, 3))
     assert pi.cycle_string() == "(1 5 3 4)(2)"
     assert pi.cycles() == [(1, 5, 3, 4), (2,)]
-    assert pi.cycle_type() == (4, 1)
     assert pi.fixed_points() == [2]
 
 
@@ -64,12 +62,6 @@ def test_inverse_and_compose_convention():
 def test_compose_requires_same_degree():
     with pytest.raises(ValueError):
         sl.FracPermutation.identity(3).compose(sl.FracPermutation.identity(4))
-
-
-def test_embed_keeps_action():
-    sigma = sl.FracPermutation(3, (2, 3, 1))
-    big = sigma.embed(6)
-    assert big.one_line == (2, 3, 1, 4, 5, 6)
 
 
 def test_pi_phi_5_fixture():
@@ -173,7 +165,7 @@ def test_sos_kernel_rejects_pairs_that_are_not_extremes():
     # ends elsewhere than at last, and the walk must say so, not loop or
     # index out of range; a line that does not run from first to last fails too
     for n in range(1, 31):
-        cells = {(b, d) for (_, b), (_, d) in sl.farey._farey_pairs(n)}
+        cells = {(c.left.denominator, c.right.denominator) for c in farey_cells(n)}
         for first in range(1, n + 1):
             for last in range(1, n + 1):
                 line = sl.permtool._sos_line(n, first, last)
@@ -234,23 +226,10 @@ def test_b_stream_yields_indexed_pairs():
     assert [next(stream) for _ in range(3)] == [(1, 0), (2, 0), (3, 2)]
 
 
-def test_rho_cycle_structure():
-    assert sl.rho(5, 4).one_line == (1, 2, 3, 4, 5)
-    r = sl.rho(5, 1)
-    assert r.fixed_points() == [1]
-    assert sl.order(r) == 4
-    for n, k in ((6, 0), (6, 3), (9, 5)):
-        assert sl.order(sl.rho(n, k)) == max(n - k, 1)
-    with pytest.raises(ValueError):
-        sl.rho(5, 5)
-
-
 def test_sign_direct_known_cases():
     assert sl.sign_direct(sl.FracPermutation.identity(6)) == 1
-    swap = sl.FracPermutation.from_cycles(4, [(1, 2)])
-    assert sl.sign_direct(swap) == -1
-    three = sl.FracPermutation.from_cycles(4, [(1, 2, 3)])
-    assert sl.sign_direct(three) == 1
+    assert sl.sign_direct(sl.FracPermutation(4, (2, 1, 3, 4))) == -1  # (1 2)
+    assert sl.sign_direct(sl.FracPermutation(4, (2, 3, 1, 4))) == 1  # (1 2 3)
 
 
 def test_sign_formula_matches_direct_small(named_slope):
@@ -266,7 +245,7 @@ def test_sign_constant_on_even_odd_pairs(named_slope):
 
 
 def test_order_is_cycle_lcm():
-    pi = sl.FracPermutation.from_cycles(9, [(1, 2, 3), (4, 5), (6, 7, 8, 9)])
+    pi = sl.FracPermutation(9, (2, 3, 1, 5, 4, 7, 8, 9, 6))  # (1 2 3)(4 5)(6 7 8 9)
     assert sl.order(pi) == math.lcm(3, 2, 4)
     assert sl.order(sl.FracPermutation.identity(3)) == 1
 

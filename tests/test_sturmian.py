@@ -33,7 +33,7 @@ def test_rational_intercept_letters_match_numeric_floors():
     x = MP_VALUES["1/e"]
     beta = Fraction(1, 3)
     spec = sl.WordSpec(alpha, intercept=beta)
-    word = sl.word_prefix(spec, 150)
+    word = [sl.word_letter(spec, i) for i in range(150)]
     b = mp.mpf(1) / 3
     for i, letter in enumerate(word):
         assert letter == mp_floor((i + 1) * x + b) - mp_floor(i * x + b)
@@ -43,7 +43,7 @@ def test_ceiling_word_letters_match_numeric_ceils():
     alpha = make_slope("phi")
     x = MP_VALUES["phi"]
     spec = sl.WordSpec(alpha, intercept=Fraction(2, 7), ceiling=True)
-    word = sl.word_prefix(spec, 150)
+    word = [sl.word_letter(spec, i) for i in range(150)]
     b = mp.mpf(2) / 7
     for i, letter in enumerate(word):
         want = -mp_floor(-((i + 1) * x + b)) - (-mp_floor(-(i * x + b)))
@@ -55,8 +55,10 @@ def test_integer_intercept_sets_the_first_ceiling_letter():
     # integer intercept that is the term at i = 0, so only letter 0 differs
     alpha = make_slope("phi")
     for beta in (0, -3):
-        floor_word = sl.word_prefix(sl.WordSpec(alpha, intercept=beta), 50)
-        ceil_word = sl.word_prefix(sl.WordSpec(alpha, intercept=beta, ceiling=True), 50)
+        floor_spec = sl.WordSpec(alpha, intercept=beta)
+        ceil_spec = sl.WordSpec(alpha, intercept=beta, ceiling=True)
+        floor_word = [sl.word_letter(floor_spec, i) for i in range(50)]
+        ceil_word = [sl.word_letter(ceil_spec, i) for i in range(50)]
         assert (floor_word[0], ceil_word[0]) == (0, 1)
         assert floor_word[1:] == ceil_word[1:]
 
@@ -106,6 +108,6 @@ def test_scan_cap_raises_when_too_small(monkeypatch):
 def test_word_letter_single_positions():
     alpha = make_slope("1/e")
     spec = sl.WordSpec(alpha)
-    prefix = sl.word_prefix(spec, 40)
+    prefix = sl.characteristic_prefix(alpha, 40)
     for i in (0, 7, 39):
         assert sl.word_letter(spec, i) == prefix[i]
