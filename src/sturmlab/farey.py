@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import mul
+from typing import NamedTuple
 
 from .errors import (
     CoefficientsExhausted, RecurrenceMismatch, RefinementBudgetExceeded, WitnessCollision
@@ -39,8 +39,7 @@ from .permtool import (
 )
 
 
-@dataclass(frozen=True)
-class FareyCell:
+class FareyCell(NamedTuple):
     """Open interval between adjacent order-n Farey fractions.
 
     The witness is the mediant: the unique fraction of least denominator
@@ -64,8 +63,7 @@ def perm_on_cell(cell: FareyCell, n: int) -> FracPermutation:
     return FracPermutation(n, tuple(line))
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(NamedTuple):
     """Exact integral of the permutation order over (0, 1) at size n."""
 
     n: int

@@ -42,9 +42,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CoefficientsExhausted,
@@ -60,8 +59,7 @@ DEFAULT_BUDGET = 10_000
 _FLOOR_CACHE_LIMIT = 100_000
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(NamedTuple):
     """Continued-fraction convergent p/q in lowest terms."""
 
     index: int

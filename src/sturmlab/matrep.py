@@ -16,9 +16,8 @@ O(n) spanning-tree determinant; ``oracles.det_exact`` (Bareiss) is its oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import NotInImage, SingularParameters
 from .irrational import IrrationalSlope
@@ -57,8 +56,7 @@ def _run_rows(sigma: FracPermutation, width: int) -> tuple[tuple[int, ...], ...]
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class AuxMatrix:
+class AuxMatrix(NamedTuple):
     """n x (n+1) matrix of 0/1 columns w_1 ... w_{n+1}."""
 
     n: int
@@ -71,8 +69,7 @@ class AuxMatrix:
         return sum(self.columns[i][i] for i in range(self.n))
 
 
-@dataclass(frozen=True)
-class FactorMatrix:
+class FactorMatrix(NamedTuple):
     """n x n matrix with entries in {-1, 0, 1}, columns w_j - w_{n+1}."""
 
     n: int
@@ -140,8 +137,7 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-@dataclass(frozen=True)
-class IntertwinerQ:
+class IntertwinerQ(NamedTuple):
     """Conjugator between factor matrices and permutation matrices.
 
     Q has a+b in the corner, a across the first row, b on the diagonal and -b

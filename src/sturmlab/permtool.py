@@ -23,25 +23,22 @@ a direct count, ``oracles.b_alpha``, is the tests' oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import RecurrenceMismatch
 from .irrational import IrrationalSlope, _euclid_product
 
 
-@dataclass(frozen=True)
 class FracPermutation:
-    """Permutation of {1..n} in one-line notation."""
+    """Permutation of {1..n} in one-line notation; immutable once built."""
 
-    n: int
-    one_line: tuple[int, ...]
+    __slots__ = ("n", "one_line", "_cycles")
 
-    def __post_init__(self):
+    def __init__(self, n: int, one_line: tuple[int, ...]):
         # One cycle walk proves the bijection and finds the cycles that sign,
         # order and the CLI read: with every entry exactly an int in 1..n, a
         # walk back at its start before any seen index closes a new cycle.
-        n, line = self.n, self.one_line
+        line = one_line
         if len(line) == n and (
             not n or set(map(type, line)) == {int} and min(line) >= 1 and max(line) <= n
         ):
@@ -60,9 +57,30 @@ class FracPermutation:
                 cycles.append(tuple(cyc))
                 start = seen.find(0, start)
             else:
-                object.__setattr__(self, "_cycles", tuple(cycles))
+                for name, value in ("n", n), ("one_line", one_line), ("_cycles", tuple(cycles)):
+                    object.__setattr__(self, name, value)
                 return
-        raise ValueError(f"not a permutation of 1..{n}: {self.one_line}")
+        raise ValueError(f"not a permutation of 1..{n}: {one_line}")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        # equal one-line tuples have equal lengths, hence equal n
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.one_line == other.one_line
+
+    def __hash__(self):
+        return hash((self.n, self.one_line))
+
+    def __repr__(self):
+        return f"FracPermutation(n={self.n!r}, one_line={self.one_line!r})"
+
+    def __reduce__(self):  # copies and pickles are rebuilt by the constructor
+        return FracPermutation, (self.n, self.one_line)
 
     def __call__(self, i: int) -> int:
         if not 1 <= i <= self.n:
@@ -374,8 +392,7 @@ def _min_modulus(n: int, last: int) -> int:
     return (last + 1) // m
 
 
-@dataclass(frozen=True)
-class OrderPrediction:
+class OrderPrediction(NamedTuple):
     """Predicted orders at sizes n-1 and n, from residue arithmetic alone.
 
     case is "max" when {n*alpha} is the largest fractional part, "min" when
@@ -406,8 +423,7 @@ def order_prediction(
     return None
 
 
-@dataclass(frozen=True)
-class Gap:
+class Gap(NamedTuple):
     """Symbolic gap c*{alpha} + t between consecutive circle points.
 
     Irrationality makes (c, t) a faithful key: two gaps are equal iff their

@@ -8,9 +8,9 @@ first letter most significant.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
 from .errors import SafetyCapExceeded
 from .irrational import IrrationalSlope
@@ -23,21 +23,44 @@ SCAN_CAP_FACTOR = 50
 Factor = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class WordSpec:
     """Word description: slope, rational intercept and rounding choice.
 
     intercept None means "use the slope itself", giving the characteristic
-    word of the slope.
+    word of the slope.  Immutable once built.
     """
 
-    slope: IrrationalSlope
-    intercept: Fraction | None = None
-    ceiling: bool = False
+    __slots__ = ("slope", "intercept", "ceiling")
 
-    def __post_init__(self):
-        if self.intercept is not None:
-            object.__setattr__(self, "intercept", Fraction(self.intercept))
+    def __init__(
+        self, slope: IrrationalSlope, intercept: Fraction | None = None, ceiling: bool = False
+    ):
+        if intercept is not None:
+            intercept = Fraction(intercept)
+        for name, value in ("slope", slope), ("intercept", intercept), ("ceiling", ceiling):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.slope, self.intercept, self.ceiling
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "WordSpec(slope={!r}, intercept={!r}, ceiling={!r})".format(*self._key())
+
+    def __reduce__(self):  # copies and pickles are rebuilt by the constructor
+        return WordSpec, self._key()
 
 
 def _term(spec: WordSpec, k: int) -> int:
@@ -81,8 +104,7 @@ def characteristic_prefix(alpha: IrrationalSlope, length: int) -> list[int]:
     return letters
 
 
-@dataclass(frozen=True)
-class FactorSet:
+class FactorSet(NamedTuple):
     """The n+1 length-n factors of a word, in anti-lexicographic order."""
 
     n: int

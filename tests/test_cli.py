@@ -592,5 +592,10 @@ def test_only_the_selftest_imports_the_oracles(path):
 
 
 def test_importing_the_cli_loads_no_oracle():
-    code = "import sys, sturmlab.cli; sys.exit('sturmlab.oracles' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], cwd=PACKAGE.parent).returncode == 0
+    # nor dataclasses, counted only when the bare interpreter has not loaded it
+    code = (
+        "import sys; bare = set(sys.modules); import sturmlab.cli; "
+        "sys.exit(' '.join(sorted(({'sturmlab.oracles', 'dataclasses'} - bare) & sys.modules.keys())) or None)"
+    )
+    run = subprocess.run([sys.executable, "-c", code], cwd=PACKAGE.parent, capture_output=True, text=True)
+    assert run.returncode == 0, f"importing the CLI loaded {run.stderr}"

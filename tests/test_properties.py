@@ -1,7 +1,7 @@
 """Property tests: production routes against their oracles on random slopes,
 the matrix representation's laws on random permutations, and the CLI's JSON
 writer against json.dumps and its CSV rows against csv.writer on random
-payloads."""
+payloads.  The public result records are checked as immutable values."""
 
 import argparse
 import copy
@@ -9,8 +9,11 @@ import csv
 import io
 import json
 import math
+import pickle
+from fractions import Fraction
 from itertools import islice
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -337,3 +340,42 @@ def test_csv_rows_equal_csv_writer(header, rows):
 def test_cycles_equal_a_reference_walk(lines):
     line = tuple(lines[0])
     assert sl.FracPermutation(len(line), line).cycles() == walked_cycles(line)
+
+
+PHI = sl.phi()
+RECORDS = [
+    (sl.FareyCell, dict(left=Fraction(1, 3), right=Fraction(1, 2), witness=Fraction(2, 5))),
+    (sl.IntegralResult, dict(n=2, value=Fraction(3, 2), cells=2, coverage=Fraction(1))),
+    (sl.Convergent, dict(index=2, p=2, q=3)),
+    (sl.AuxMatrix, dict(n=1, columns=((1,), (0,)))),
+    (sl.FactorMatrix, dict(n=2, entries=((1, 0), (-1, 1)))),
+    (sl.IntertwinerQ, dict(n=2, a=Fraction(1), b=Fraction(2))),
+    (sl.OrderPrediction, dict(case="min", order_prev=2, order_n=4, g=2)),
+    (sl.Gap, dict(coeff=2, offset=-1)),
+    (sl.FactorSet, dict(n=1, factors=((1,), (0,)))),
+    (sl.FracPermutation, dict(n=3, one_line=(2, 3, 1))),
+    (sl.WordSpec, dict(slope=PHI, intercept=Fraction(1, 2), ceiling=True)),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields", [pytest.param(cls, fields, id=cls.__name__) for cls, fields in RECORDS]
+)
+def test_records_are_immutable_values(cls, fields):
+    record, twin = cls(**fields), cls(*fields.values())
+    assert record == twin and hash(record) == hash(twin)
+    assert copy.copy(record) == record
+    if cls is not sl.WordSpec:  # a slope compares by identity, so only its copy is equal
+        assert pickle.loads(pickle.dumps(record)) == record
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+
+def test_word_spec_intercept_is_a_fraction():
+    spec = sl.WordSpec(PHI, intercept=1)
+    assert spec.intercept == Fraction(1) and type(spec.intercept) is Fraction
+    assert spec == sl.WordSpec(PHI, Fraction(1)) and hash(spec) == hash(sl.WordSpec(PHI, Fraction(1)))
