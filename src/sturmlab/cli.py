@@ -5,10 +5,13 @@ brange, congruence, selftest.  Slopes are given with --alpha (or --a/--b) in
 the expression language of :mod:`sturmlab.irrational`.  Output is exact text;
 permutation orders are emitted as decimal strings, never floats.
 
-build_parser makes every subcommand from one table of commands and their
-options.  Each data command computes its answer and returns (header, rows,
-doc); _run adds the budget to the doc's meta and _emit_rows renders the
-result as CSV, TSV or JSON.  selftest writes its own PASS/FAIL report.
+COMMANDS is the one table of commands and their options.  main builds only
+the subparser of the command that argv names; help, an empty argv or an
+unknown name get the whole tree, build_parser().  The function that runs is
+the cmd_<name> global at that time.  Each data command computes its answer
+and returns (header, rows, doc); _run adds the budget to the doc's meta and
+_emit_rows renders the result as CSV, TSV or JSON.  selftest writes its own
+PASS/FAIL report.
 
 The refinement budget (the cap on the convergent index a floor may use)
 comes from --budget, else the SturmLAB_BUDGET environment variable, else the
@@ -138,10 +141,13 @@ def _emit_rows(args, out, header, rows, json_obj):
 
 def _run(args, out) -> int:
     """Run the parsed command into out and return its exit code; a data
-    command's meta starts with the budget, then any counters it reported."""
+    command's meta starts with the budget, then any counters it reported.
+    The command's function is looked up when it runs, so a rebound cmd_<name>
+    global is the one that runs."""
+    fn = globals()["cmd_" + args.command]
     if args.command == "selftest":
-        return args.fn(args, out)
-    header, rows, doc = args.fn(args)
+        return fn(args, out)
+    header, rows, doc = fn(args)
     doc["meta"] = {"budget": _budget(args), **doc.get("meta", {})}
     _emit_rows(args, out, header, rows, doc)
     return 0
@@ -242,6 +248,8 @@ def cmd_integral(args):
 
 
 def cmd_signsum(args):
+    if args.N < 1:
+        raise ValueError("N must be >= 1")
     alpha = _slope(args)
     total, peak = farey.sign_sum(alpha, args.N)
     doc = {
@@ -255,6 +263,8 @@ def cmd_signsum(args):
 
 
 def cmd_brange(args):
+    if args.kmax < 1:
+        raise ValueError("kmax must be >= 1")
     alpha = _slope(args)
     k = farey.b_range_search(alpha, args.target, args.kmax)
     doc = {
@@ -290,70 +300,76 @@ def cmd_selftest(args, out):
     return selftest.run(seed=args.seed, report=lambda s: out.write(s + "\n"))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # built on each call, not at import, so that the table holds each command
-    # as the module's globals hold it when the parser is built
-    out = dict(help="write output to this file instead of stdout")
-    data = argparse.ArgumentParser(add_help=False)  # the options of every data command
-    data.add_argument("--format", choices=["csv", "json", "tsv"], default="csv")
-    data.add_argument("--out", **out)
-    data.add_argument(
-        "--budget", type=int, help="caps the convergent index of floors at budget + 1"
-    )
-    text = dict(required=True)
-    whole = dict(type=int, required=True)
-    sized = {"alpha": text, "n": whole}
-    to = dict(dest="end", type=int, required=True)
-    commands = {  # name: (function, help, {option: add_argument keywords})
-        "word": (cmd_word, "prefix of the characteristic word", sized),
-        "factors": (cmd_factors, "length-n factors in anti-lexicographic order", sized),
-        "matrix": (cmd_matrix, "matrix of the ordering permutation", sized),
-        "perm": (cmd_perm, "ordering permutation with cycles, sign and order", sized),
-        "table": (
-            cmd_table,
-            "sign and order for a range of sizes",
-            {"alpha": text, "from": dict(dest="start", type=int, required=True), "to": to},
-        ),
-        "volume": (cmd_volume, "exact volume of the factor simplex", sized),
-        "integral": (
-            cmd_integral,
-            "exact integral of the permutation order",
-            {"from": dict(dest="start", type=int, default=1), "to": to},
-        ),
-        "signsum": (cmd_signsum, "running sum of permutation signs", {"alpha": text, "N": whole}),
-        "brange": (
-            cmd_brange,
-            "least k with B(k) equal to a target",
-            {"alpha": text, "target": whole, "kmax": whole},
-        ),
-        "congruence": (
-            cmd_congruence,
-            "congruence of two factor simplices",
-            {"a": text, "b": text, "n": whole},
-        ),
-        "selftest": (
-            cmd_selftest,
-            "run embedded reference checks",
-            {"out": out, "seed": dict(type=int, default=0, help="seed for randomized checks")},
-        ),
-    }
+_OUT = dict(help="write output to this file instead of stdout")
+_DATA = {  # the options of every data command
+    "format": dict(choices=["csv", "json", "tsv"], default="csv"),
+    "out": _OUT,
+    "budget": dict(type=int, help="caps the convergent index of floors at budget + 1"),
+}
+_TEXT = dict(required=True)
+_WHOLE = dict(type=int, required=True)
+_SIZED = {**_DATA, "alpha": _TEXT, "n": _WHOLE}
+_TO = dict(dest="end", type=int, required=True)
+
+# name: (help, {option: add_argument keywords}); main runs cmd_<name>
+COMMANDS = {
+    "word": ("prefix of the characteristic word", _SIZED),
+    "factors": ("length-n factors in anti-lexicographic order", _SIZED),
+    "matrix": ("matrix of the ordering permutation", _SIZED),
+    "perm": ("ordering permutation with cycles, sign and order", _SIZED),
+    "table": (
+        "sign and order for a range of sizes",
+        {**_DATA, "alpha": _TEXT, "from": dict(dest="start", type=int, required=True), "to": _TO},
+    ),
+    "volume": ("exact volume of the factor simplex", _SIZED),
+    "integral": (
+        "exact integral of the permutation order",
+        {**_DATA, "from": dict(dest="start", type=int, default=1), "to": _TO},
+    ),
+    "signsum": ("running sum of permutation signs", {**_DATA, "alpha": _TEXT, "N": _WHOLE}),
+    "brange": (
+        "least k with B(k) equal to a target",
+        {**_DATA, "alpha": _TEXT, "target": _WHOLE, "kmax": _WHOLE},
+    ),
+    "congruence": (
+        "congruence of two factor simplices",
+        {**_DATA, "a": _TEXT, "b": _TEXT, "n": _WHOLE},
+    ),
+    "selftest": (
+        "run embedded reference checks",
+        {"out": _OUT, "seed": dict(type=int, default=0, help="seed for randomized checks")},
+    ),
+}
+# argparse's own metavar for the whole tree, so that usage lines name every
+# command when only one subparser is built
+_METAVAR = "{" + ",".join(COMMANDS) + "}"
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    # the subparser of command alone, else every subparser: one subparser is
+    # enough to parse any argv that starts with its name, and usage errors
+    # still list every command through the metavar
     p = argparse.ArgumentParser(
         prog="sturmlab",
         description="Exact experiments with fractional-part orderings of irrational multiples",
     )
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, (fn, helptext, options) in commands.items():
-        # argparse copies the options of a parents= parser, which costs less
-        # than adding them to each subparser anew
-        sp = sub.add_parser(name, parents=[] if name == "selftest" else [data], help=helptext)
+    sub = p.add_subparsers(
+        dest="command", required=True, metavar=None if command is None else _METAVAR
+    )
+    for name in COMMANDS if command is None else (command,):
+        helptext, options = COMMANDS[name]
+        sp = sub.add_parser(name, help=helptext)
         for option, kwargs in options.items():
             sp.add_argument(f"--{option}", **kwargs)
-        sp.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # help, an empty argv and an unknown name get the whole tree: the help
+    # lists every command, and argparse's invalid-choice error lists the
+    # commands it has subparsers for
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         if args.out:
             return _run_to_file(args)

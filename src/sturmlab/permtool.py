@@ -57,6 +57,9 @@ class FracPermutation:
                 cycles.append(tuple(cyc))
                 start = seen.find(0, start)
             else:
+                # a list or other sequence is stored as a tuple, so equal
+                # permutations compare and hash alike whatever they were built from
+                one_line = tuple(one_line)
                 for name, value in ("n", n), ("one_line", one_line), ("_cycles", tuple(cycles)):
                     object.__setattr__(self, name, value)
                 return

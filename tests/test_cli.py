@@ -1,5 +1,6 @@
 """Command line interface: formats, outputs, budgets, errors, and the oracle gate."""
 
+import argparse
 import ast
 import csv
 import io
@@ -396,6 +397,20 @@ def test_word_rejects_sizes_below_one(run_cli, n):
     assert err == "error[InvalidArgument]: n must be >= 1\n"
 
 
+
+@pytest.mark.parametrize("N", ["-1", "0"])
+def test_signsum_rejects_N_below_one(run_cli, N):
+    rc, out, err = run_cli(["signsum", "--alpha", "phi", "--N", N])
+    assert (rc, out) == (1, "")
+    assert err == "error[InvalidArgument]: N must be >= 1\n"
+
+
+@pytest.mark.parametrize("kmax", ["-1", "0"])
+def test_brange_rejects_kmax_below_one(run_cli, kmax):
+    rc, out, err = run_cli(["brange", "--alpha", "phi", "--target", "0", "--kmax", kmax])
+    assert (rc, out) == (1, "")
+    assert err == "error[InvalidArgument]: kmax must be >= 1\n"
+
 @pytest.mark.parametrize(
     "fmt, to",
     [
@@ -550,6 +565,71 @@ def test_option_table(capsys, argv, parsed):
         args = vars(sturmlab.cli.build_parser().parse_args(argv))
         assert {key: args[key] for key in parsed} == parsed
 
+
+
+# help and usage-error text of the parser that built every subcommand on each
+# call, captured at 80 columns under the Python version it names
+USAGE_GOLDEN = json.loads(Path(__file__).with_name("cli_usage_golden.json").read_text())
+
+
+def exit_code_and_output(capsys, call):
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.skipif(
+    "%d.%d" % sys.version_info[:2] != USAGE_GOLDEN["python"],
+    reason="argparse words its help and errors differently in other Python versions",
+)
+@pytest.mark.parametrize("case", USAGE_GOLDEN["cases"], ids=lambda case: " ".join(case["argv"]) or "[]")
+def test_help_and_usage_errors_match_golden(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = exit_code_and_output(capsys, lambda: sturmlab.cli.main(list(case["argv"])))
+    assert got == (case["code"], case["out"], case["err"])
+
+
+@pytest.mark.parametrize("case", USAGE_GOLDEN["cases"], ids=lambda case: " ".join(case["argv"]) or "[]")
+def test_help_and_usage_errors_match_the_whole_tree(capsys, monkeypatch, case):
+    # the same check under any Python version: main, which may build one
+    # subparser, prints what the parser of every command prints
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = list(case["argv"])
+    whole = exit_code_and_output(capsys, lambda: sturmlab.cli.build_parser().parse_args(argv))
+    assert exit_code_and_output(capsys, lambda: sturmlab.cli.main(argv)) == whole
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["perm", "--alpha", "phi", "--n", "5"], ["perm"]),
+        (["perm", "--alpha", "phi"], ["perm"]),
+        (["nope"], list(sturmlab.cli.COMMANDS)),
+        ([], list(sturmlab.cli.COMMANDS)),
+    ],
+)
+def test_a_known_command_builds_only_its_subparser(capsys, monkeypatch, argv, built):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    exit_code_and_output(capsys, lambda: sturmlab.cli.main(argv))
+    assert names == built
+
+
+def test_main_runs_the_cmd_function_bound_when_it_runs(run_cli, monkeypatch):
+    def cmd_perm(args):
+        return ["n"], [[args.n]], {"n": args.n}
+
+    monkeypatch.setattr(sturmlab.cli, "cmd_perm", cmd_perm)
+    assert run_cli(["perm", "--alpha", "phi", "--n", "7"]) == (0, "n\n7\n", "")
 
 def test_perm_json_builds_no_row_strings(run_cli, monkeypatch):
     def refuse(self):

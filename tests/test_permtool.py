@@ -32,6 +32,13 @@ def test_one_line_validation():
     assert sl.FracPermutation(0, ()).cycles() == []
 
 
+
+def test_a_list_builds_the_same_permutation_as_a_tuple():
+    from_list, from_tuple = sl.FracPermutation(2, [2, 1]), sl.FracPermutation(2, (2, 1))
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
+    assert from_list.one_line == (2, 1)
+
 def test_identity_and_call():
     e = sl.FracPermutation.identity(4)
     assert e.one_line == (1, 2, 3, 4)
