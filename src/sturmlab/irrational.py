@@ -369,7 +369,8 @@ class IrrationalSlope:
         return self.compare_multiple(i - j, self.floor_multiple(i) - self.floor_multiple(j))
 
     def expression(self) -> str:
-        """Slope expression that parses back to an equal slope."""
+        """Slope expression; it parses back to an equal slope, except for an
+        ExplicitCF with a pre-periodic block or a tail rule (informational)."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -406,7 +407,7 @@ class QuadraticSurd(IrrationalSlope):
             return "phi"
         if self.a == 0 and self.b == 1 and self.c == 1:
             return f"sqrt({self.d})"
-        return f"({self.a}+{self.b}*sqrt({self.d}))/{self.c}"
+        return f"({self.a}{self.b:+d}*sqrt({self.d}))/{self.c}"
 
 
 class EulerE(IrrationalSlope):
@@ -476,11 +477,12 @@ class ExplicitCF(IrrationalSlope):
             block = ",".join(str(a) for a in self.repeat)
             return f"cf:[{self.initial[0]};{block},...]"
         # pre-periodic blocks and tail rules have no grammar form; informational only
-        head = ",".join(str(a) for a in self.initial[1:])
-        if self.repeat is not None:
-            block = ",".join(str(a) for a in self.repeat)
-            return f"cf:[{self.initial[0]};{head},({block})*]"
-        return f"cf:[{self.initial[0]};{head},<tail rule>]"
+        parts = [str(a) for a in self.initial[1:]]
+        if self.repeat is None:
+            parts.append("<tail rule>")
+        else:
+            parts.append("({})*".format(",".join(str(a) for a in self.repeat)))
+        return f"cf:[{self.initial[0]};{','.join(parts)}]"
 
 
 # -- slope expressions -----------------------------------------------------------

@@ -23,7 +23,7 @@ a direct count, ``oracles.b_alpha``, is the tests' oracle.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .errors import RecurrenceMismatch
 from .irrational import IrrationalSlope, _euclid_product
@@ -154,35 +154,6 @@ def extreme_positions(alpha: IrrationalSlope, n: int) -> tuple[int, int]:
     return first, last
 
 
-def range_extremes(alpha: IrrationalSlope, start: int, end: int) -> list[tuple[int, int, int]]:
-    """(n, *extreme_positions(alpha, n)) for n = start..end.
-
-    The extremes move only when the newest point {n*alpha} is one of them,
-    which makes n a semiconvergent denominator d = q_{j-1} + t*q_j with
-    1 <= t <= a_{j+1}; and every such d is a new record on the side of
-    p_{j-1}/q_{j-1}: the greatest {d*alpha} for even j, the least for odd j.
-    So :func:`extreme_positions` runs only at start, each d > start sets one
-    extreme with no comparison, and each other n repeats those of n - 1.
-    """
-    if not 1 <= start <= end:
-        raise ValueError(f"bad range {start}..{end}")
-    rows = []
-    n, (first, last) = start, extreme_positions(alpha, start)
-    q_prev, q, j = 0, 1, 0  # q_{j-1}, q_j
-    while q_prev + q <= end:
-        a = alpha.partial_quotient(j + 1)
-        for d in range(q_prev + max(1, (n - q_prev) // q + 1) * q, min(q_prev + a * q, end) + 1, q):
-            rows += [(k, first, last) for k in range(n, d)]
-            n = d
-            if j % 2:
-                first = d
-            else:
-                last = d
-        q_prev, q, j = q, q_prev + a * q, j + 1
-    rows += [(k, first, last) for k in range(n, end + 1)]
-    return rows
-
-
 def _sos_line(n: int, first: int, last: int, length: int | None = None) -> list[int]:
     """The three-distance (Sos) recurrence from first, as a one-line list.
 
@@ -239,17 +210,20 @@ def _sign_order(line: list[int], first: int, last: int) -> tuple[int, int]:
 def range_sign_orders(alpha: IrrationalSlope, start: int, end: int) -> list[tuple[int, int, int]]:
     """(n, sign, order) of the ordering permutation for n = start..end.
 
-    The ordering of 1..n-1 is that of 1..n with index n deleted, so one Sos
-    line is built, at end, and each size is walked (:func:`_sign_order`) and
-    then loses its n.  Each size's first and last entries are checked against
-    :func:`range_extremes`.
+    One Sos line is built, at end, from :func:`extreme_positions`, and
+    :func:`_sign_order` checks it there: it must run from first to last, and
+    the cycle walk proves it a bijection.  The ordering of 1..n-1 is that of
+    1..n with index n deleted, so each smaller size is walked after deleting
+    its n, with nothing more to check.
     """
-    rows = range_extremes(alpha, start, end)
-    line = [0, *_sos_line(end, *rows[-1][1:])]
-    out = []
-    for n, first, last in reversed(rows):
-        out.append((n, *_sign_order(line, first, last)))
+    if not 1 <= start <= end:
+        raise ValueError(f"bad range {start}..{end}")
+    first, last = extreme_positions(alpha, end)
+    line = [0, *_sos_line(end, first, last)]
+    out = [(end, *_sign_order(line, first, last))]
+    for n in range(end, start, -1):
         line.remove(n)
+        out.append((n - 1, *_sign_order(line, line[1], line[-1])))
     out.reverse()
     return out
 
@@ -409,13 +383,11 @@ class OrderPrediction(NamedTuple):
     g: int | None = None
 
 
-def order_prediction(
-    alpha: IrrationalSlope, n: int, pi: FracPermutation | None = None
-) -> OrderPrediction | None:
+def order_prediction(alpha: IrrationalSlope, n: int) -> OrderPrediction | None:
     """Order prediction when the newest point is extremal, else None."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    first, last = extreme_positions(alpha, n) if pi is None else (pi(1), pi(n))
+    first, last = extreme_positions(alpha, n)
     if last == n:
         t = multiplicative_order(first, n)
         return OrderPrediction("max", t, t)
@@ -442,18 +414,10 @@ class Gap(NamedTuple):
         return f"{self.coeff}*frac{self.offset:+d}"
 
 
-def three_distance_gaps(
-    alpha: IrrationalSlope, n: int, ordering: Sequence[int] | None = None
-) -> tuple[Gap, ...]:
-    """The n+1 gaps cut from [0, 1] by {alpha}, ..., {n*alpha}, in circle order.
-
-    ordering, if given, must list 1..n by increasing fractional part (callers
-    that maintain it incrementally can skip the sort).
-    """
-    if ordering is None:
-        ordering = pi_sos(alpha, n).one_line
+def three_distance_gaps(alpha: IrrationalSlope, n: int) -> tuple[Gap, ...]:
+    """The n+1 gaps cut from [0, 1] by {alpha}, ..., {n*alpha}, in circle order."""
     fred = alpha.floor_reduced
-    seq = [0] + list(ordering)
+    seq = [0, *pi_sos(alpha, n).one_line]
     gaps = []
     for u, v in zip(seq, seq[1:]):
         fu = fred(u) if u else 0

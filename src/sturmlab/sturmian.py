@@ -23,44 +23,27 @@ SCAN_CAP_FACTOR = 50
 Factor = tuple[int, ...]
 
 
-class WordSpec:
+class _WordFields(NamedTuple):
+    slope: IrrationalSlope
+    intercept: Fraction | None
+    ceiling: bool
+
+
+class WordSpec(_WordFields):
     """Word description: slope, rational intercept and rounding choice.
 
     intercept None means "use the slope itself", giving the characteristic
-    word of the slope.  Immutable once built.
+    word of the slope; any other intercept is stored as a Fraction.
     """
 
-    __slots__ = ("slope", "intercept", "ceiling")
+    __slots__ = ()
 
-    def __init__(
-        self, slope: IrrationalSlope, intercept: Fraction | None = None, ceiling: bool = False
+    def __new__(
+        cls, slope: IrrationalSlope, intercept: Fraction | None = None, ceiling: bool = False
     ):
         if intercept is not None:
             intercept = Fraction(intercept)
-        for name, value in ("slope", slope), ("intercept", intercept), ("ceiling", ceiling):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return self.slope, self.intercept, self.ceiling
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "WordSpec(slope={!r}, intercept={!r}, ceiling={!r})".format(*self._key())
-
-    def __reduce__(self):  # copies and pickles are rebuilt by the constructor
-        return WordSpec, self._key()
+        return super().__new__(cls, slope, intercept, ceiling)
 
 
 def _term(spec: WordSpec, k: int) -> int:

@@ -119,7 +119,7 @@ def test_c07_order_predictions_and_fibonacci_orders(pi_sweeps):
     for name, (alpha, perms) in pi_sweeps.items():
         applicable = 0
         for n in range(2, 301):
-            pred = sl.order_prediction(alpha, n, pi=perms[n - 1])
+            pred = sl.order_prediction(alpha, n)
             if pred is None:
                 continue
             applicable += 1
@@ -148,10 +148,8 @@ def test_c08_recurrence_permutation_equals_direct_sort(pi_sweeps):
 def test_c09_at_most_three_distinct_gaps():
     for name in ("phi", "1/e", "sqrt2-1"):
         alpha = make_slope(name)
-        ordering = []
         for n in range(1, 1001):
-            insert_by_frac(alpha, ordering, n)
-            gaps = sl.three_distance_gaps(alpha, n, ordering=ordering)
+            gaps = sl.three_distance_gaps(alpha, n)
             assert len(set(gaps)) <= 3, f"{name}, n={n}"
             assert sum(g.coeff for g in gaps) == 0
             assert sum(g.offset for g in gaps) == 1

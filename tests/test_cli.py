@@ -523,6 +523,13 @@ def test_budget_flag_and_env(run_cli, monkeypatch):
     assert rc == 0
 
 
+def test_budget_env_that_is_not_an_integer(run_cli, monkeypatch):
+    monkeypatch.setenv("SturmLAB_BUDGET", "x")
+    rc, out, err = run_cli(["table", "--alpha", "e", "--from", "2", "--to", "5"])
+    assert (rc, out) == (1, "")
+    assert err == "error[SturmlabError]: SturmLAB_BUDGET='x' is not an integer\n"
+
+
 def test_bad_format_rejected(run_cli):
     with pytest.raises(SystemExit):
         sturmlab.cli.main(["perm", "--alpha", "phi", "--n", "5", "--format", "xml"])

@@ -432,6 +432,25 @@ def test_only_equal_or_complementary_factor_sets_are_congruent():
                 assert farey._isometry_exists(da, db) == (lb in (la, la[::-1])), (n, la, lb)
 
 
+def half_distances(edges, m=6):
+    """1 between the ends of an edge, 2 between other distinct vertices."""
+    d = [[0 if i == j else 2 for j in range(m)] for i in range(m)]
+    for i, j in edges:
+        d[i][j] = d[j][i] = 1
+    return d
+
+
+def test_isometry_search_backtracks_past_equal_distance_profiles():
+    # every row of both is (0, 1, 1, 2, 2, 2), so only the search can tell
+    # a hexagon from two triangles
+    hexagon = half_distances([(i, (i + 1) % 6) for i in range(6)])
+    triangles = half_distances([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    relabelled = half_distances([(0, 2), (2, 4), (4, 1), (1, 3), (3, 5), (5, 0)])
+    assert not farey._isometry_exists(hexagon, triangles)
+    assert not farey._isometry_exists(triangles, hexagon)
+    assert farey._isometry_exists(hexagon, relabelled)
+
+
 def test_congruence_on_a_sample_of_larger_cells():
     # the same conjecture past n = 20 on a seeded sample: per size, random
     # pairs of cells, each cell with itself and each with its mirror image

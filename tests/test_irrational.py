@@ -331,12 +331,26 @@ def test_parse_error_names_offending_token():
 
 
 def test_expression_round_trips():
-    texts = ["phi", "e", "1/e", "sqrt(2)", "(1+1*sqrt(5))/2", "cf:[2;1,2,...]"]
+    texts = [
+        "phi", "e", "1/e", "sqrt(2)", "(1+1*sqrt(5))/2", "cf:[2;1,2,...]",
+        "(3-1*sqrt(5))/2", "(1+1*sqrt(7))/-3", "(-2-3*sqrt(13))/4",
+    ]
     for text in texts:
         alpha = sl.parse_slope(text)
         again = sl.parse_slope(alpha.expression())
+        assert again.expression() == alpha.expression(), text
         for k in range(1, 13):
             assert alpha.floor_multiple(k) == again.floor_multiple(k), text
+
+
+def test_explicit_cf_repr_of_forms_with_no_grammar():
+    def tail(k):
+        return 1
+
+    assert repr(sl.ExplicitCF([0, 3], repeat=[1, 2])) == "<ExplicitCF cf:[0;3,(1,2)*]>"
+    assert repr(sl.ExplicitCF([0], repeat=[1, 2])) == "<ExplicitCF cf:[0;(1,2)*]>"
+    assert repr(sl.ExplicitCF([2, 5], tail=tail)) == "<ExplicitCF cf:[2;5,<tail rule>]>"
+    assert repr(sl.ExplicitCF([2], tail=tail)) == "<ExplicitCF cf:[2;<tail rule>]>"
 
 
 def test_explicit_cf_matches_surd_value():

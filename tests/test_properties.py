@@ -1,7 +1,8 @@
 """Property tests: production routes against their oracles on random slopes,
 the matrix representation's laws on random permutations, and the CLI's JSON
 writer against json.dumps and its CSV rows against csv.writer on random
-payloads.  The public result records are checked as immutable values."""
+payloads.  The public result records are checked as immutable values, and
+each public argument check raises its documented error."""
 
 import argparse
 import copy
@@ -10,6 +11,7 @@ import io
 import json
 import math
 import pickle
+import re
 from fractions import Fraction
 from itertools import islice
 
@@ -264,14 +266,6 @@ def test_reconstruct_roundtrip_on_random_sn(lines):
     assert sl.reconstruct_sigma(sl.factor_matrix(sigma)).one_line == sigma.one_line
 
 
-@settings(max_examples=40, deadline=None, database=None)
-@given(alpha=slopes, ends=st.lists(st.integers(1, 3000), min_size=2, max_size=2).map(sorted))
-def test_range_extremes_equal_extreme_positions_at_every_n(alpha, ends):
-    start, end = ends
-    want = [(n, *sl.permtool.extreme_positions(alpha, n)) for n in range(start, end + 1)]
-    assert sl.permtool.range_extremes(alpha, start, end) == want
-
-
 @settings(max_examples=100, deadline=None, database=None)
 @given(
     alpha=st.one_of(
@@ -304,12 +298,20 @@ def negative_surds():
     )
 
 
-@settings(max_examples=40, deadline=None, database=None)
-@given(alpha=st.one_of(periodic_cfs(), negative_surds()))
-def test_range_extremes_set_records_without_comparing(alpha):
-    want = [(n, *sl.permtool.extreme_positions(alpha, n)) for n in range(1, 2001)]
-    for start in (1, 2, 5, 97):
-        assert sl.permtool.range_extremes(alpha, start, 2000) == want[start - 1:]
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    alpha=st.one_of(
+        periodic_cfs(),
+        negative_surds(),
+        st.just("cf:[0;2,5000,...]").map(sl.parse_slope),
+    ),
+    n=st.integers(2, 300),
+)
+def test_deleting_n_from_the_ordering_gives_the_ordering_of_n_minus_one(alpha, n):
+    # the invariant range_sign_orders sweeps with: one line, losing an index per size
+    line = list(sl.pi_sos(alpha, n).one_line)
+    line.remove(n)
+    assert tuple(line) == sl.pi_sos(alpha, n - 1).one_line
 
 
 def csv_fields():
@@ -379,3 +381,52 @@ def test_word_spec_intercept_is_a_fraction():
     spec = sl.WordSpec(PHI, intercept=1)
     assert spec.intercept == Fraction(1) and type(spec.intercept) is Fraction
     assert spec == sl.WordSpec(PHI, Fraction(1)) and hash(spec) == hash(sl.WordSpec(PHI, Fraction(1)))
+
+
+E = sl.parse_slope("e")
+SPEC = sl.WordSpec(E)
+BAD_ARGUMENTS = [
+    ("sign_sum", lambda: sl.sign_sum(E, 0), ValueError, "upto must be >= 1"),
+    ("b_range_search", lambda: sl.b_range_search(E, 5, 0), ValueError, "k_max must be >= 1"),
+    ("sign_formula", lambda: sl.sign_formula(E, 0), ValueError, "m must be >= 1"),
+    ("multiplicative_order", lambda: sl.permtool.multiplicative_order(3, 0), ValueError,
+     "modulus must be >= 1"),
+    ("order_prediction", lambda: sl.order_prediction(E, 1), ValueError, "n must be >= 2"),
+    ("word_letter", lambda: sl.word_letter(SPEC, -1), ValueError, "letter index must be >= 0"),
+    ("word_factor_set", lambda: sl.word_factor_set(SPEC, 0), ValueError, "n must be >= 1"),
+    ("partial_quotient", lambda: E.partial_quotient(-1), ValueError, "index must be >= 0"),
+    ("convergent", lambda: E.convergent(-1), ValueError, "index must be >= 0"),
+    ("floor_multiple", lambda: E.floor_multiple(0), ValueError, "k must be >= 1"),
+    ("compare_multiple", lambda: E.compare_multiple(0, 1), ValueError, "k must be nonzero"),
+    ("frac_compare", lambda: E.frac_compare(0, 1), ValueError, "indices must be >= 1"),
+    ("cf_empty_initial", lambda: sl.ExplicitCF([], repeat=[1]), sl.InvalidSlope,
+     "leading partial quotient"),
+    ("cf_repeat_and_tail", lambda: sl.ExplicitCF([0], repeat=[1], tail=lambda k: 1),
+     sl.InvalidSlope, "not both"),
+    ("cf_empty_repeat", lambda: sl.ExplicitCF([0], repeat=[]), sl.InvalidSlope, "non-empty"),
+    ("cf_repeat_below_one", lambda: sl.ExplicitCF([0], repeat=[1, 0]), sl.InvalidSlope,
+     "quotients must be >= 1"),
+    ("cf_malformed", lambda: sl.parse_slope("cf:[0;1"), sl.SlopeSyntaxError, "malformed"),
+    ("cf_bad_token", lambda: sl.parse_slope("cf:[0;1,x,...]"), sl.SlopeSyntaxError, "'x'"),
+    ("cf_no_quotients", lambda: sl.parse_slope("cf:[0;...]"), sl.SlopeSyntaxError,
+     "needs quotients"),
+    ("reconstruct_not_square", lambda: sl.reconstruct_sigma([[1, 0], [0, 1], [1, 1]]),
+     sl.NotInImage, "not square"),
+    # built directly, so no det check ran before inverse
+    ("intertwiner_singular", lambda: sl.IntertwinerQ(2, 0, 0).inverse(), sl.SingularParameters,
+     "singular"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", [pytest.param(*case[1:], id=case[0]) for case in BAD_ARGUMENTS]
+)
+def test_bad_arguments_raise(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_degenerate_arguments_give_empty_answers():
+    assert sl.characteristic_prefix(E, 0) == []
+    # an empty run (l > r) is a zero row
+    assert sl.det_runs(2, [(1, 2, 1), (2, 1, 3)]) == 0
