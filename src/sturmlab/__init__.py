@@ -23,7 +23,6 @@ from .farey import (
     FareyCell,
     IntegralResult,
     b_range_search,
-    complement_factors,
     congruence_test,
     exact_integral,
     perm_on_cell,

@@ -346,11 +346,3 @@ def congruence_test(alpha: IrrationalSlope, beta: IrrationalSlope, n: int) -> bo
         *(_factor_distances(pi_sos(x, n).one_line) for x in (alpha, beta))
     )
 
-
-def complement_factors(factors: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Bitwise complement of each factor, re-sorted anti-lexicographically.
-
-    Complementing all letters realises the slope reflection alpha -> 1-alpha,
-    and geometrically is the point reflection through (1/2, ..., 1/2).
-    """
-    return tuple(sorted((tuple(1 - x for x in f) for f in factors), reverse=True))

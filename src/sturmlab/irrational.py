@@ -6,24 +6,26 @@ computed with ``math.isqrt``).  Floors and comparisons reduce to integer
 arithmetic on its convergents p_m/q_m; no floating point is used anywhere.
 
 The floor kernel rests on the best-approximation bound
-|value - p_m/q_m| < 1/(q_m q_{m+1}).  For |u| < q_{m+1} it gives
+|value - p_m/q_m| < 1/(q_m q_{m+1}).  For 1 <= k < q_{m+1} it puts k*value
+within 1/q_m of k*p_m/q_m, on the side where the value lies (above p_m/q_m
+for even m, below for odd m), so
 
-    floor((u*value + v)/w) = (u*p_m + v*q_m) // (w*q_m)
+    floor(k*value) = (k*p_m + r) // q_m    with r = -(m mod 2).
 
-unless that division is exact; then the side of p_m/q_m that the value lies
-on (above for even m) decides between the quotient and the quotient minus 1.
-So each floor is one integer division at the slope's current convergent
-index m, which only moves forward, when |u| reaches q_{m+1}.  The tests
-check it against interval refinement, ``oracles.floor_affine_cf``.
+:meth:`IrrationalSlope.floor_line` gives this line (p_m, r, q_m) and is the
+only code that reads it off the convergents; the index m only moves forward,
+when k reaches q_{m+1}.  Affine floors need no rule of their own: for
+integers v and w >= 1, floor((x + v)/w) = (floor(x) + v) // w, and
+floor(-x) = -floor(x) - 1 for irrational x.  The tests check the rule
+against interval refinement, ``oracles.floor_affine_cf``.
 
 Scans over k = start, start + step, ... use :meth:`IrrationalSlope.floors`,
-a stream of floor(k*value) that divides once per run of indices below
-q_{m+1} and then carries quotient and remainder forward by one addition
-per index.  Random access goes through :meth:`IrrationalSlope.floor_multiple`,
-which caches small indices.  Walks that need no floor one by one take the
-rational line of a whole block from :meth:`IrrationalSlope.floor_line` and
-fold it in O(log) products with :func:`_euclid_product`, or sum its floors
-with :func:`floor_sum`.
+a stream of floor(k*value) that divides once per line and then carries
+quotient and remainder forward by one addition per index.  Random access
+goes through :meth:`IrrationalSlope.floor_multiple`, which caches small
+indices.  Walks that need no floor one by one take the line of a whole block
+and fold it in O(log) products with :func:`_euclid_product`, or sum its
+floors with :func:`floor_sum`.
 
 Slope expressions accepted by :func:`parse_slope`:
 
@@ -194,7 +196,7 @@ class IrrationalSlope:
     def __init__(self, budget: int | None = None):
         self.budget = DEFAULT_BUDGET if budget is None else int(budget)
         if self.budget < 1:
-            raise InvalidSlope("refinement budget must be >= 1")
+            raise ValueError("refinement budget must be >= 1")
         self._quots: list[int] = []
         self._qiter: Iterator[int] | None = None
         self._convs: list[tuple[int, int]] = []
@@ -244,37 +246,31 @@ class IrrationalSlope:
 
     # -- exact floors ----------------------------------------------------------
 
-    def _floor_affine(self, u: int, v: int, w: int) -> int:
-        """Exact floor of (u*value + v)/w: one division at convergent m."""
-        if w == 0:
-            raise ZeroDivisionError("w must be nonzero")
-        if w < 0:
-            u, v, w = -u, -v, -w
-        if u == 0:
-            return v // w
-        if not -self._qn < u < self._qn:
-            self._advance(abs(u))
-        q = self._qm
-        f, r = divmod(u * self._pm + v * q, w * q)
-        # exact division: the sign of u*(value - p_m/q_m) settles the floor
-        if r == 0 and (u > 0) != (self._m % 2 == 0):
-            f -= 1
-        return f
+    def floor_line(self, n: int) -> tuple[int, int, int]:
+        """(p, r, q) with floor(k*value) == (k*p + r) // q for 1 <= k <= n.
 
-    def _advance(self, n: int) -> None:
-        """Move the kernel to the least index m >= its current one with q_{m+1} > n."""
-        m = self._m
-        while self.convergent(m + 1).q <= n:
-            m += 1
-            if m > self.budget + 1:
-                raise RefinementBudgetExceeded(
-                    f"a floor of {n}*alpha needs a convergent index above "
-                    f"budget + 1 = {self.budget + 1}"
-                )
-        self.stats["refine_steps"] += m - self._m
-        self._m = m
-        self._pm, self._qm = self._convs[m]
-        self._qn = self._convs[m + 1][1]
+        The one floor rule of the kernel.  It moves to the least convergent
+        index m >= its current one with q_{m+1} > n and reads p = p_m,
+        q = q_m and r = -(m % 2).  An m past budget + 1 raises
+        RefinementBudgetExceeded and leaves the kernel where it was.  No
+        floor is counted.
+        """
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if n >= self._qn:
+            m = self._m
+            while self.convergent(m + 1).q <= n:
+                m += 1
+                if m > self.budget + 1:
+                    raise RefinementBudgetExceeded(
+                        f"a floor of {n}*alpha needs a convergent index above "
+                        f"budget + 1 = {self.budget + 1}"
+                    )
+            self.stats["refine_steps"] += m - self._m
+            self._m = m
+            self._pm, self._qm = self._convs[m]
+            self._qn = self._convs[m + 1][1]
+        return self._pm, -(self._m % 2), self._qm
 
     def floor_multiple(self, k: int) -> int:
         """Exact floor(k * value) for k >= 1."""
@@ -282,7 +278,8 @@ class IrrationalSlope:
             raise ValueError("k must be >= 1")
         f = self._floors.get(k)
         if f is None:
-            f = self._floor_affine(k, 0, 1)
+            p, r, q = self.floor_line(k)
+            f = (k * p + r) // q
             self.stats["floors"] += 1
             if k <= _FLOOR_CACHE_LIMIT:
                 self._floors[k] = f
@@ -291,27 +288,23 @@ class IrrationalSlope:
     def floors(self, start: int = 1, step: int = 1) -> Iterator[int]:
         """Yield floor(k * value) exactly for k = start, start + step, ....
 
-        For k < q_{m+1} the kernel's rule reads floor((k*p_m - m%2) / q_m):
-        at odd m, p_m/q_m lies above the value, which is the exact-division
-        case of _floor_affine.  So one divmod opens each block of indices
+        One divmod by the :meth:`floor_line` of k opens each run of indices
         below q_{m+1}, and each later term carries quotient and remainder
-        forward by one addition.  At k = q_{m+1} the kernel advances, under
-        the same budget as floor_multiple.  The floors bypass the cache;
-        stats["floors"] grows by one per yielded floor, counted at the end of
-        each block and, for a stream closed mid-block, when it is closed.
+        forward by one addition.  At k = q_{m+1} the next line opens, under
+        the budget.  The floors bypass the cache; stats["floors"] grows by
+        one per yielded floor, counted at the end of each run and, for a
+        stream closed mid-run, when it is closed.
         """
         if start < 1 or step < 1:
             raise ValueError("start and step must be >= 1")
         stats = self.stats
         k = start
-        i = -1  # the current block has yielded i + 1 floors not yet counted
+        i = -1  # the current run has yielded i + 1 floors not yet counted
         try:
             while True:
-                if k >= self._qn:
-                    self._advance(k)
-                qm = self._qm
-                f, r = divmod(k * self._pm - self._m % 2, qm)
-                df, dr = divmod(step * self._pm, qm)
+                p, r, qm = self.floor_line(k)
+                f, r = divmod(k * p + r, qm)
+                df, dr = divmod(step * p, qm)
                 df1, lim = df + 1, qm - dr  # r + dr >= q_m iff r >= lim
                 n = (self._qn - k + step - 1) // step
                 for i in range(n):
@@ -327,20 +320,6 @@ class IrrationalSlope:
                 k += n * step
         finally:
             stats["floors"] += i + 1
-
-    def floor_line(self, n: int) -> tuple[int, int, int]:
-        """(p, r, q) with floor(k*value) == (k*p + r) // q for 1 <= k <= n.
-
-        The rule of :meth:`floors` below q_{m+1}: p = p_m, q = q_m and
-        r = -(m % 2).  The kernel advances to n under the budget, as a floors
-        stream that reads up to index n does, so refine_steps and
-        RefinementBudgetExceeded are the stream's; no floor is counted.
-        """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if n >= self._qn:
-            self._advance(n)
-        return self._pm, -(self._m % 2), self._qm
 
     def floor_reduced(self, k: int) -> int:
         """floor(k * {value}) where {x} is the fractional part."""

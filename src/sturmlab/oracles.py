@@ -88,6 +88,15 @@ def cell_containing(alpha: IrrationalSlope, n: int) -> FareyCell:
     return cells[lo]
 
 
+def complement_factors(factors: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Bitwise complement of each factor, re-sorted anti-lexicographically.
+
+    Complementing all letters realises the slope reflection alpha -> 1-alpha,
+    and geometrically is the point reflection through (1/2, ..., 1/2).
+    """
+    return tuple(sorted((tuple(1 - x for x in f) for f in factors), reverse=True))
+
+
 def det_exact(m: FactorMatrix | Sequence[Sequence[int]]) -> int:
     """Integer determinant by fraction-free (Bareiss) elimination.
 

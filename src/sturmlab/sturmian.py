@@ -58,9 +58,11 @@ def _term(spec: WordSpec, k: int) -> int:
         return alpha.floor_reduced(k + 1)
     p, q = spec.intercept.numerator, spec.intercept.denominator
     s = -1 if spec.ceiling else 1
-    # s*(k*{a} + p/q) = (u*a + s*p - u*floor(a)) / q with u = s*k*q
+    # s*(k*{a} + p/q) = (u*a + v)/q with u = s*k*q and v = s*p - u*floor(a); its
+    # floor is (floor(u*a) + v) // q, and floor(u*a) = -floor(-u*a) - 1 for u < 0
     u = s * k * q
-    return s * alpha._floor_affine(u, s * p - u * alpha.floor_multiple(1), q)
+    fu = alpha.floor_multiple(u) if u > 0 else -alpha.floor_multiple(-u) - 1 if u else 0
+    return s * ((fu + s * p - u * alpha.floor_multiple(1)) // q)
 
 
 def word_letter(spec: WordSpec, i: int) -> int:

@@ -23,6 +23,22 @@ MP_VALUES = {
     "e": mp.e,
 }
 
+# adversarial slopes: huge partial quotients, a pre-periodic CF, a negative
+# surd, slopes above 1, plus the named ones
+KERNEL_SLOPES = {
+    "phi": sl.phi,
+    "e": sl.EulerE,
+    "1/e": sl.EulerEInv,
+    "cf:[0;2,5000,...]": lambda: sl.parse_slope("cf:[0;2,5000,...]"),
+    "cf:[0;1,100000,...]": lambda: sl.parse_slope("cf:[0;1,100000,...]"),
+    "cf:[0;3000,1,...]": lambda: sl.parse_slope("cf:[0;3000,1,...]"),
+    "pre-periodic": lambda: sl.ExplicitCF([3, 1, 4], repeat=[2, 7]),
+    "(1-1*sqrt(3))/1": lambda: sl.parse_slope("(1-1*sqrt(3))/1"),
+    "(-2+1*sqrt(13))/4": lambda: sl.parse_slope("(-2+1*sqrt(13))/4"),
+    "(7+3*sqrt(2))/2": lambda: sl.parse_slope("(7+3*sqrt(2))/2"),
+    "cf:[2;1,2,...]": lambda: sl.parse_slope("cf:[2;1,2,...]"),
+}
+
 SWEEP_SLOPES = ("phi", "1/e", "sqrt2-1")
 SWEEP_N = 500
 

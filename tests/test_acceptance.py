@@ -19,7 +19,7 @@ import pytest
 
 import sturmlab as sl
 from sturmlab.matrep import mat_mul
-from sturmlab.oracles import det_exact, pi_direct
+from sturmlab.oracles import complement_factors, det_exact, pi_direct
 from sturmlab.selftest import (
     AUX_52314,
     FACTORS_INV_E_6,
@@ -260,7 +260,7 @@ def test_c14_congruence_matches_factor_set_relation():
         for n in (4, 8, 12):
             fa = sl.factor_set(alpha, n).factors
             fb = sl.factor_set(beta, n).factors
-            related = fa == fb or fa == sl.complement_factors(fb)
+            related = fa == fb or fa == complement_factors(fb)
             congruent = sl.congruence_test(alpha, beta, n)
             if congruent and not related:
                 pytest.fail(

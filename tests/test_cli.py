@@ -523,6 +523,17 @@ def test_budget_flag_and_env(run_cli, monkeypatch):
     assert rc == 0
 
 
+@pytest.mark.parametrize("budget", ["0", "-2"])
+def test_budget_below_one_is_an_invalid_argument(run_cli, monkeypatch, budget):
+    # a budget is not a slope, so it is no InvalidSlope, from the flag or the env
+    want = (1, "", "error[InvalidArgument]: refinement budget must be >= 1\n")
+    argv = ["perm", "--alpha", "phi", "--n", "5"]
+    assert run_cli([*argv, "--budget", budget]) == want
+    monkeypatch.setenv("SturmLAB_BUDGET", budget)
+    assert run_cli(argv) == want
+    assert run_cli(["word", "--alpha", "e", "--n", "5"]) == want
+
+
 def test_budget_env_that_is_not_an_integer(run_cli, monkeypatch):
     monkeypatch.setenv("SturmLAB_BUDGET", "x")
     rc, out, err = run_cli(["table", "--alpha", "e", "--from", "2", "--to", "5"])

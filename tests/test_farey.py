@@ -12,7 +12,14 @@ from mpmath import mp
 
 import sturmlab as sl
 from sturmlab import farey
-from sturmlab.oracles import b_alpha, cell_containing, farey_cells, first_hits, pi_direct
+from sturmlab.oracles import (
+    b_alpha,
+    cell_containing,
+    complement_factors,
+    farey_cells,
+    first_hits,
+    pi_direct,
+)
 from conftest import MP_VALUES, make_slope, walked_cycles
 
 
@@ -337,7 +344,7 @@ def test_congruence_of_reflected_slope():
     reflected = sl.QuadraticSurd(3, -1, 5, 2)  # 1 - {phi}
     for n in (4, 9, 12):
         assert sl.congruence_test(phi, reflected, n)
-        assert sl.factor_set(phi, n).factors == sl.complement_factors(
+        assert sl.factor_set(phi, n).factors == complement_factors(
             sl.factor_set(reflected, n).factors
         )
 
@@ -364,7 +371,7 @@ def test_congruence_same_value_different_construction():
 def test_complement_factors_involution(named_slope):
     name, alpha = named_slope
     factors = sl.factor_set(alpha, 9).factors
-    assert sl.complement_factors(sl.complement_factors(factors)) == factors
+    assert complement_factors(complement_factors(factors)) == factors
 
 
 
@@ -414,7 +421,7 @@ def test_factor_relation_matches_the_window_scan():
         scans = [sl.factor_set(x, n).factors for x in pool]
         for i, alpha in enumerate(pool):
             for j, beta in enumerate(pool):
-                want = scans[i] == scans[j], scans[i] == sl.complement_factors(scans[j])
+                want = scans[i] == scans[j], scans[i] == complement_factors(scans[j])
                 assert farey.factor_relation(alpha, beta, n) == want, (n, i, j)
                 if n > 1 and i != j:
                     seen.add(want)

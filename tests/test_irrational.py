@@ -10,7 +10,7 @@ from mpmath import mp
 
 import sturmlab as sl
 from sturmlab.oracles import bracket, floor_affine_cf
-from conftest import MP_VALUES, make_slope, mp_floor
+from conftest import KERNEL_SLOPES, MP_VALUES, make_slope, mp_floor
 
 E_CONVERGENTS = [
     Fraction(2),
@@ -94,31 +94,30 @@ def test_refinement_stream_shrinks_and_nests(named_slope):
         prev = box
 
 
+def _affine_floor(alpha, u, v, w):
+    """floor((u*alpha + v)/w) from floor_multiple alone, as sturmian._term
+    takes it: floor((x + v)/w) = (floor(x) + v) // w for integers v and
+    w >= 1, and floor(u*alpha) = -floor(-u*alpha) - 1 for u < 0."""
+    if w < 0:
+        u, v, w = -u, -v, -w
+    if u > 0:
+        fu = alpha.floor_multiple(u)
+    else:
+        fu = -alpha.floor_multiple(-u) - 1 if u else 0
+    return (fu + v) // w
+
+
 def test_surd_floor_paths_agree():
-    # the convergent kernel, the refinement floor and the closed-form isqrt
-    # floor must agree
+    # the floor line, the refinement floor and the closed-form isqrt floor
+    # must agree, at k and at -k
     alpha = sl.QuadraticSurd(-1, 1, 5, 2)
     for k in range(1, 300):
         want = sl.irrational._floor_surd(k * alpha.a, k * alpha.b, alpha.d, alpha.c)
-        assert alpha._floor_affine(k, 0, 1) == want
+        p, r, q = alpha.floor_line(k)
+        assert alpha.floor_multiple(k) == (k * p + r) // q == want
         assert floor_affine_cf(alpha, k, 0, 1) == want
-
-
-# adversarial slopes: huge partial quotients, a pre-periodic CF, a negative
-# surd, slopes above 1, plus the named ones
-KERNEL_SLOPES = {
-    "phi": sl.phi,
-    "e": sl.EulerE,
-    "1/e": sl.EulerEInv,
-    "cf:[0;2,5000,...]": lambda: sl.parse_slope("cf:[0;2,5000,...]"),
-    "cf:[0;1,100000,...]": lambda: sl.parse_slope("cf:[0;1,100000,...]"),
-    "cf:[0;3000,1,...]": lambda: sl.parse_slope("cf:[0;3000,1,...]"),
-    "pre-periodic": lambda: sl.ExplicitCF([3, 1, 4], repeat=[2, 7]),
-    "(1-1*sqrt(3))/1": lambda: sl.parse_slope("(1-1*sqrt(3))/1"),
-    "(-2+1*sqrt(13))/4": lambda: sl.parse_slope("(-2+1*sqrt(13))/4"),
-    "(7+3*sqrt(2))/2": lambda: sl.parse_slope("(7+3*sqrt(2))/2"),
-    "cf:[2;1,2,...]": lambda: sl.parse_slope("cf:[2;1,2,...]"),
-}
+        neg = sl.irrational._floor_surd(-k * alpha.a, -k * alpha.b, alpha.d, alpha.c)
+        assert _affine_floor(alpha, -k, 0, 1) == floor_affine_cf(alpha, -k, 0, 1) == neg
 
 
 def _oracles(alpha, u, v, w):
@@ -132,7 +131,7 @@ def _oracles(alpha, u, v, w):
 def _kernel_cases(oracle, rng):
     """(u, v, w) triples: exact multiples j*q_m of every early convergent
     denominator below q_{m+1} in ascending order, so the kernel meets them at
-    index m where the division is exact, then random ones in random order."""
+    index m, where j*q_m*p_m divides by q_m, then random ones in random order."""
     cases = []
     for m in range(8):
         q, q_next = oracle.convergent(m).q, oracle.convergent(m + 1).q
@@ -151,17 +150,25 @@ def _kernel_cases(oracle, rng):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SLOPES))
 def test_floor_kernel_matches_independent_oracles(name):
+    # u > 0 through floor_multiple and its floor line; every signed (u, v, w)
+    # through the affine identity on floor_multiple
     make = KERNEL_SLOPES[name]
     kernel, oracle = make(), make()
     rng = random.Random(20021)
     exact = 0
     for u, v, w in _kernel_cases(oracle, rng):
-        got = kernel._floor_affine(u, v, w)
-        if w == 1 and kernel._qm > 1 and u % kernel._qm == 0:
-            exact += 1
+        if u > 0:
+            got = kernel.floor_multiple(u)
+            for want in _oracles(oracle, u, 0, 1):
+                assert got == want, u
+            p, r, q = kernel.floor_line(u)
+            assert (u * p + r) // q == got, u
+            # an exact division by q_m, which r = -(m % 2) settles
+            exact += q > 1 and u % q == 0
+        got = _affine_floor(kernel, u, v, w)
         for want in _oracles(oracle, u, v, w):
             assert got == want, (u, v, w)
-    assert exact > 0  # the exact-division branch ran
+    assert exact > 0  # the exact-division case ran
     # scans after random access reuse the deeper convergent
     for k in range(1, 400):
         assert kernel.floor_multiple(k) == floor_affine_cf(oracle, k, 0, 1)
@@ -390,8 +397,12 @@ def test_refinement_budget_exhaustion():
 
 
 def test_budget_validation():
-    with pytest.raises(sl.InvalidSlope):
-        sl.EulerE(budget=0)
+    # a budget is not a slope: a bad one is a plain argument error
+    for budget in (0, -3):
+        with pytest.raises(ValueError) as info:
+            sl.EulerE(budget=budget)
+        assert not isinstance(info.value, sl.SturmlabError)
+        assert str(info.value) == "refinement budget must be >= 1"
 
 
 def test_floor_cache_bounded():

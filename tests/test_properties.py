@@ -1,7 +1,7 @@
 """Property tests: production routes against their oracles on random slopes,
-the matrix representation's laws on random permutations, and the CLI's JSON
-writer against json.dumps and its CSV rows against csv.writer on random
-payloads.  The public result records are checked as immutable values, and
+through the library and through the CLI's JSON, the matrix representation's
+laws on random permutations, and the CLI's JSON writer against json.dumps and
+its CSV rows against csv.writer on random payloads.  The public result records are checked as immutable values, and
 each public argument check raises its documented error."""
 
 import argparse
@@ -12,6 +12,7 @@ import json
 import math
 import pickle
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import islice
 
@@ -20,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sturmlab as sl
-from sturmlab.cli import _JSON_BATCH, _emit_rows, _write_json
+from sturmlab.cli import _JSON_BATCH, _emit_rows, _write_json, main
 from sturmlab.matrep import mat_mul
-from sturmlab.oracles import b_alpha, first_hits, pi_direct, streamed_sign_sum
+from sturmlab.oracles import b_alpha, first_hits, floor_affine_cf, pi_direct, streamed_sign_sum
 from conftest import walked_cycles
 
 
@@ -61,8 +62,9 @@ def periodic_cfs(block_max=10**5):
     )
 
 
-def surds(d=None):
-    """(a + b*sqrt(d))/c; by default d = m^2 + r gives partial quotients near 2m <= 10^5."""
+def surds(d=None, build=sl.QuadraticSurd):
+    """build(a, b, d, c) for (a + b*sqrt(d))/c; by default d = m^2 + r gives
+    partial quotients near 2m <= 10^5."""
     if d is None:
         d = st.one_of(
             st.integers(2, 10**9),
@@ -72,7 +74,7 @@ def surds(d=None):
         )
     nonzero = st.integers(-50, 50).filter(bool)
     d = d.filter(lambda d: math.isqrt(d) ** 2 != d)
-    return st.builds(sl.QuadraticSurd, st.integers(-50, 50), nonzero, d, nonzero)
+    return st.builds(build, st.integers(-50, 50), nonzero, d, nonzero)
 
 
 slopes = st.one_of(periodic_cfs(), surds())
@@ -190,6 +192,77 @@ def test_sign_sum_and_sign_equal_the_streamed_ones(alpha, pick):
         assert reduced.stats == streamed.stats, upto
         assert sl.sign_formula(signs, upto) == streamed_sign_sum(streamed_signs, upto)[0], upto
         assert signs.stats["refine_steps"] == streamed_signs.stats["refine_steps"], upto
+
+
+# slope expressions of every CLI family: e, 1/e, phi, sqrt(D); surds with a
+# negative B or C, and so some negative values, with partial quotients up to
+# about 10^5; periodic CFs with a0 of either sign, so slopes above 1, and
+# quotients up to 10^5
+cli_slopes = st.one_of(
+    st.sampled_from(("e", "1/e", "phi", "sqrt(2)", "sqrt(1000001)")),
+    surds(build=lambda a, b, d, c: f"({a}{b:+d}*sqrt({d}))/{c}"),
+    st.builds(
+        lambda a0, block: f"cf:[{a0};{','.join(map(str, block))},...]",
+        st.integers(-3, 3),
+        st.lists(st.integers(1, 10**5), min_size=1, max_size=4),
+    ),
+)
+
+
+def _cli_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main([*argv, "--format", "json"])
+    assert (rc, err.getvalue()) == (0, ""), argv
+    return json.loads(out.getvalue())
+
+
+def _sign_and_order(line):
+    cycles = walked_cycles(line)
+    return (-1) ** (len(line) - len(cycles)), math.lcm(*map(len, cycles)), cycles
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    text=cli_slopes,
+    n=st.integers(1, 300),
+    start=st.integers(1, 40),
+    width=st.integers(0, 8),
+    upto=st.integers(1, 20_000),
+    target=st.integers(0, 80),
+    k_max=st.integers(1, 5000),
+)
+def test_cli_json_equals_the_oracle_routes(text, n, start, width, upto, target, k_max):
+    # word, perm, table, signsum and brange through cli.main, each against an
+    # oracle route on its own copy of the slope; factors waits for the
+    # factor-set route that does not scan windows
+    doc = _cli_json(["word", "--alpha", text, "--n", str(n)])
+    oracle = sl.parse_slope(text)
+    floors = [floor_affine_cf(oracle, k, 0, 1) for k in range(1, n + 2)]
+    letters = [b - a - floors[0] for a, b in zip(floors, floors[1:])]
+    assert doc["word"] == "".join(map(str, letters))
+
+    doc = _cli_json(["perm", "--alpha", text, "--n", str(n)])
+    line = pi_direct(sl.parse_slope(text), n).one_line
+    sign, order, cycles = _sign_and_order(line)
+    assert doc["perm"] == list(line)
+    assert doc["cycles"] == [list(c) for c in cycles]
+    assert (doc["sign"], doc["order"]) == (sign, str(order))
+
+    end = start + width
+    doc = _cli_json(["table", "--alpha", text, "--from", str(start), "--to", str(end)])
+    oracle = sl.parse_slope(text)
+    want = []
+    for size in range(start, end + 1):
+        sign, order, _ = _sign_and_order(pi_direct(oracle, size).one_line)
+        want.append({"n": size, "sign": sign, "order": str(order)})
+    assert doc["rows"] == want
+
+    doc = _cli_json(["signsum", "--alpha", text, "--N", str(upto)])
+    assert [doc["sum"], doc["max_abs"]] == list(streamed_sign_sum(sl.parse_slope(text), upto)[1:])
+
+    argv = ["brange", "--alpha", text, "--target", str(target), "--kmax", str(k_max)]
+    assert _cli_json(argv)["k"] == first_hits(sl.parse_slope(text), k_max).get(target)
 
 
 def json_payloads():

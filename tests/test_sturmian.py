@@ -1,5 +1,6 @@
 """Sturmian words, factor sets, and the factor/permutation correspondence."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,9 @@ from mpmath import mp
 
 import sturmlab as sl
 from sturmlab import sturmian
-from sturmlab.oracles import pi_direct
+from sturmlab.oracles import floor_affine_cf, pi_direct
 from sturmlab.selftest import FACTORS_INV_E_6, WORD_PREFIX_INV_E
-from conftest import MP_VALUES, make_slope, mp_floor
+from conftest import KERNEL_SLOPES, MP_VALUES, make_slope, mp_floor
 
 
 def test_characteristic_prefix_inv_e():
@@ -37,6 +38,24 @@ def test_rational_intercept_letters_match_numeric_floors():
     b = mp.mpf(1) / 3
     for i, letter in enumerate(word):
         assert letter == mp_floor((i + 1) * x + b) - mp_floor(i * x + b)
+    # every kernel slope, both roundings, against interval refinement:
+    # k*{a} + p/q = (k*q*a + p - k*q*floor(a))/q
+    rng = random.Random(31337)
+    for name in sorted(KERNEL_SLOPES):
+        alpha, oracle = KERNEL_SLOPES[name](), KERNEL_SLOPES[name]()
+        f1 = floor_affine_cf(oracle, 1, 0, 1)
+        for ceiling in (False, True):
+            beta = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+            spec = sl.WordSpec(alpha, intercept=beta, ceiling=ceiling)
+            p, q = beta.numerator, beta.denominator
+            s = -1 if ceiling else 1
+
+            def term(k):
+                return s * floor_affine_cf(oracle, s * k * q, s * (p - k * q * f1), q)
+
+            ks = [*range(40), *(rng.randint(1, 10**9) for _ in range(40))]
+            for i in ks:
+                assert sl.word_letter(spec, i) == term(i + 1) - term(i), (name, beta, i)
 
 
 def test_ceiling_word_letters_match_numeric_ceils():
