@@ -15,7 +15,7 @@ PASS/FAIL report.
 
 The refinement budget (the cap on the convergent index a floor may use)
 comes from --budget, else the SturmLAB_BUDGET environment variable, else the
-library default.  Only the CLI reads that variable.
+library default; only the CLI reads that variable, and _run checks it once.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ def _budget(args) -> int:
 
 
 def _slope(args, attr="alpha"):
-    return parse_slope(getattr(args, attr), budget=_budget(args))
+    return parse_slope(getattr(args, attr), budget=args.budget)
 
 
 # numbers per slice of an all-int list, and parts per write: one write holds
@@ -140,15 +140,21 @@ def _emit_rows(args, out, header, rows, json_obj):
 
 
 def _run(args, out) -> int:
-    """Run the parsed command into out and return its exit code; a data
-    command's meta starts with the budget, then any counters it reported.
-    The command's function is looked up when it runs, so a rebound cmd_<name>
-    global is the one that runs."""
+    """Run the parsed command into out and return its exit code.  A data
+    command runs once its sizes and its budget, resolved into args.budget,
+    are at least 1; its meta starts with the budget, then any counters it
+    reported.  A rebound cmd_<name> global is the one that runs."""
     fn = globals()["cmd_" + args.command]
     if args.command == "selftest":
         return fn(args, out)
+    for name in "n", "N", "kmax":
+        if getattr(args, name, 1) < 1:
+            raise ValueError(f"{name} must be >= 1")
+    args.budget = _budget(args)
+    if args.budget < 1:
+        raise ValueError("refinement budget must be >= 1")
     header, rows, doc = fn(args)
-    doc["meta"] = {"budget": _budget(args), **doc.get("meta", {})}
+    doc["meta"] = {"budget": args.budget, **doc.get("meta", {})}
     _emit_rows(args, out, header, rows, doc)
     return 0
 
@@ -176,8 +182,6 @@ def _run_to_file(args) -> int:
 
 
 def cmd_word(args):
-    if args.n < 1:
-        raise ValueError("n must be >= 1")
     word = "".join(map(str, sturmian.characteristic_prefix(_slope(args), args.n)))
     return None, [[word]], {"alpha": args.alpha, "n": args.n, "word": word}
 
@@ -248,8 +252,6 @@ def cmd_integral(args):
 
 
 def cmd_signsum(args):
-    if args.N < 1:
-        raise ValueError("N must be >= 1")
     alpha = _slope(args)
     total, peak = farey.sign_sum(alpha, args.N)
     doc = {
@@ -263,8 +265,6 @@ def cmd_signsum(args):
 
 
 def cmd_brange(args):
-    if args.kmax < 1:
-        raise ValueError("kmax must be >= 1")
     alpha = _slope(args)
     k = farey.b_range_search(alpha, args.target, args.kmax)
     doc = {

@@ -11,15 +11,15 @@ The sort at a cell's mediant (:func:`perm_on_cell`) checks one cell per
 size; the cells as objects are ``oracles.farey_cells`` and
 ``oracles.cell_containing``.
 
-The scans over sizes need no cell.  :func:`sign_sum` folds the signs along
-the floor line.  :func:`b_range_search` finds the least k with B(k) = T by
-walking the size-n ordering from its least point, one doubling block of k
-at a time: B(i) is the number of j < i met before i, and a walk can stop
-once more than T indices below the block have been met.  A range the walk
-leaves, for a large T or a large partial quotient, is searched along the
-floor line instead: B moves by a fixed step along each residue class mod
-q_m, and likewise mod q_{m-1} below q_m, so one division decides each
-progression (:func:`_progression_hit`).
+The scans over sizes need no cell.  :func:`sign_sum` reads the sign walk of
+:mod:`permtool` along the floor line.  :func:`b_range_search` finds the
+least k with B(k) = T by walking the size-n ordering from its least point,
+one doubling block of k at a time: B(i) is the number of j < i met before i,
+and a walk can stop once more than T indices below the block have been met.
+A range the walk leaves, for a large T or a large partial quotient, is
+searched along the floor line instead: B moves by a fixed step along each
+residue class mod q_m, and likewise mod q_{m-1} below q_m, so one division
+decides each progression (:func:`_progression_hit`).
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .irrational import IrrationalSlope, floor_sum
 from .permtool import (
-    FracPermutation, _sign_order, _sign_walk, _sos_line, b_stream, extreme_positions, pi_sos
+    FracPermutation, _sign_order, _sign_run, _sos_line, b_stream, extreme_positions, pi_sos
 )
 
 
@@ -128,32 +128,12 @@ def exact_integral(start: int, end: int) -> list[IntegralResult]:
 
 
 def sign_sum(alpha: IrrationalSlope, upto: int) -> tuple[int, int]:
-    """(final sum, max |partial sum|) of ordering-permutation signs.
-
-    The sign changes only at even sizes m, by the parity of floor(m*alpha),
-    and then holds at m + 1; so the sizes go in pairs (m, m + 1), and within
-    a pair the sum moves twice by the same sign, so its largest |sum| is at
-    an end.  The pairs up to upto are one sign walk along the floor line
-    (:func:`permtool._sign_walk`), O(log upto) exact steps; a last even size
-    with no partner reads its floor off the line.  Counts the upto // 2
-    floors the answer depends on in stats["floors"].
-    """
+    """(final sum, max |partial sum|) of ordering-permutation signs, off the
+    walk along the floor line that also gives the sign
+    (:func:`permtool._sign_run`), O(log upto) exact steps."""
     if upto < 1:
         raise ValueError("upto must be >= 1")
-    if upto == 1:
-        return 1, 1
-    line = alpha.floor_line(upto - upto % 2)
-    alpha.stats["floors"] += upto // 2
-    sign, total, hi, lo = _sign_walk(line, (upto - 1) // 2)
-    total += 1  # size 1
-    peak = 1 if hi is None else max(1, 1 + hi, -1 - lo)
-    if upto % 2 == 0:  # the last even size has no partner
-        p, r, q = line
-        if (upto * p + r) // q & 1:
-            sign = -sign
-        total += sign
-        peak = max(peak, abs(total))
-    return total, peak
+    return _sign_run(alpha, upto)[1:]
 
 
 def _block_hits(alpha: IrrationalSlope, target: int, k0: int, n: int) -> list[int] | None:
@@ -179,10 +159,14 @@ def _block_hits(alpha: IrrationalSlope, target: int, k0: int, n: int) -> list[in
     return None
 
 
-def _convergent_below(alpha: IrrationalSlope) -> tuple[int, int]:
-    """(p, q) of the convergent one index below the slope's floor line; 1/0 at index 0."""
-    m = alpha._m
-    return alpha._convs[m - 1] if m else (1, 0)
+def _convergent_below(alpha: IrrationalSlope, p: int, q: int) -> tuple[int, int]:
+    """(p, q) of the convergent one index below the convergent p/q; 1/0 at index 0.
+    No two convergents are equal, so p/q's index is found by reading them up
+    from index 0: for the p/q of a floor line, no quotient past those it read."""
+    m = 0
+    while alpha.convergent(m)[1:] != (p, q):
+        m += 1
+    return alpha.convergent(m - 1)[1:] if m else (1, 0)
 
 
 def _least_root(c: int, g: int, lo: int, hi: int, target: int) -> int | None:
@@ -207,7 +191,7 @@ def _progression_hit(alpha: IrrationalSlope, target: int, k_lo: int, k_max: int)
     the floors of the B(s), s <= min(q', q - 1): none when q = 1.
     """
     p, r, q = alpha.floor_line(k_max)
-    p1, q1 = _convergent_below(alpha)
+    p1, q1 = _convergent_below(alpha, p, q)
     e, r1 = -1 - 2 * r, -1 - r
     b = 2 * floor_sum(q - 1, q, p, p + r) + (q - 1) * (1 - (q * p + r) // q)
     u = _least_root(b, r % q + r + 1, -(-k_lo // q) - 1, k_max // q - 1, target)
@@ -269,10 +253,10 @@ def b_range_search(alpha: IrrationalSlope, target: int, k_max: int) -> int | Non
         else:
             return None
     try:
-        q = alpha.floor_line(k_max)[2]
+        p, _, q = alpha.floor_line(k_max)
     except (RefinementBudgetExceeded, CoefficientsExhausted):
         q = 0
-    if q and 8 * min(_convergent_below(alpha)[1], q - 1) * (k_max // q + 1) <= k_max:
+    if q and 8 * min(_convergent_below(alpha, p, q)[1], q - 1) * (k_max // q + 1) <= k_max:
         return _progression_hit(alpha, target, k0, k_max)
     for k, b in stream:
         if b == target:

@@ -23,9 +23,8 @@ Scans over k = start, start + step, ... use :meth:`IrrationalSlope.floors`,
 a stream of floor(k*value) that divides once per line and then carries
 quotient and remainder forward by one addition per index.  Random access
 goes through :meth:`IrrationalSlope.floor_multiple`, which caches small
-indices.  Walks that need no floor one by one take the line of a whole block
-and fold it in O(log) products with :func:`_euclid_product`, or sum its
-floors with :func:`floor_sum`.
+indices.  A sum over a whole block of floors takes the block's line and
+:func:`floor_sum`.
 
 Slope expressions accepted by :func:`parse_slope`:
 
@@ -101,47 +100,6 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
         if y < m:
             return total
         n, b, m, a = y // m, y % m, a, m
-
-
-def _euclid_product(p: int, q: int, r: int, n: int, up, right, mul, one):
-    """The word prod_{l=1..n} up^(f(l) - f(l-1)) * right, f(l) = (p*l + r) // q.
-
-    Needs p >= 0 and 0 <= r < q; mul(x, y) is x then y in an associative
-    product with identity one.  The universal Euclidean algorithm: p >= q
-    folds up^(p // q) into each right, and p < q reads the same word with
-    the roles of up and right swapped, along the line of slope q/p.  So the
-    pairs (p, q) run as in gcd(p, q), and the word takes O(log(p + q + n))
-    products.  The levels are unrolled into a loop: each wraps the word of
-    the next between a head and a tail.
-    """
-
-    def power(x, k):
-        out = None  # one, before any factor
-        while k:
-            if k & 1:
-                out = x if out is None else mul(out, x)
-            k >>= 1
-            if k:
-                x = mul(x, x)
-        return one if out is None else out
-
-    heads, tails = [], []
-    while True:
-        m = (p * n + r) // q  # the ups in the word
-        if m == 0:
-            word = power(right, n)
-            break
-        if p >= q:
-            right = mul(power(up, p // q), right)
-            p %= q
-            continue
-        # the k-th up follows (q*k - r - 1) // p rights
-        heads.append(mul(power(right, (q - r - 1) // p), up))
-        tails.append(power(right, n - (q * m - r - 1) // p))
-        p, q, r, n, up, right = q, p, (q - r - 1) % p, m - 1, right, up
-    while heads:
-        word = mul(mul(heads.pop(), word), tails.pop())
-    return word
 
 
 # Quotient streams are module-level generators over plain values, so that a

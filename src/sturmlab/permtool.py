@@ -12,7 +12,9 @@ and O(n) integer steps.  The table and the Farey integral read the sign and
 the order off one cycle walk (:func:`_sign_order`), and sweep a range of
 sizes with one line: the ordering of 1..n-1 is that of 1..n with index n
 deleted (:func:`range_sign_orders`).  The tests check the ordering against
-a comparison sort, ``oracles.pi_direct``.
+a comparison sort, ``oracles.pi_direct``.  The sign alone needs no ordering:
+at one size and summed over sizes it is one walk along the floor line
+(:func:`_sign_run`), folded in O(log n) products (:func:`_euclid_product`).
 
 B(k), the number of q < k with {q*alpha} < {k*alpha}, is a floor sum:
 {j*alpha} + {(k-j)*alpha} = {k*alpha} + [{j*alpha} > {k*alpha}] summed over
@@ -26,7 +28,7 @@ import math
 from typing import Iterator, NamedTuple
 
 from .errors import RecurrenceMismatch
-from .irrational import IrrationalSlope, _euclid_product
+from .irrational import IrrationalSlope
 
 
 class FracPermutation:
@@ -268,7 +270,48 @@ def sign_direct(pi: FracPermutation) -> int:
     return -1 if (pi.n - len(pi._cycles)) % 2 else 1
 
 
-# The sign walk, as a monoid of ints for irrational._euclid_product.  The walk
+def _euclid_product(p: int, q: int, r: int, n: int, up, right, mul, one):
+    """The word prod_{l=1..n} up^(f(l) - f(l-1)) * right, f(l) = (p*l + r) // q.
+
+    Needs p >= 0 and 0 <= r < q; mul(x, y) is x then y in an associative
+    product with identity one.  The universal Euclidean algorithm: p >= q
+    folds up^(p // q) into each right, and p < q reads the same word with
+    the roles of up and right swapped, along the line of slope q/p.  So the
+    pairs (p, q) run as in gcd(p, q), and the word takes O(log(p + q + n))
+    products.  The levels are unrolled into a loop: each wraps the word of
+    the next between a head and a tail.
+    """
+
+    def power(x, k):
+        out = None  # one, before any factor
+        while k:
+            if k & 1:
+                out = x if out is None else mul(out, x)
+            k >>= 1
+            if k:
+                x = mul(x, x)
+        return one if out is None else out
+
+    heads, tails = [], []
+    while True:
+        m = (p * n + r) // q  # the ups in the word
+        if m == 0:
+            word = power(right, n)
+            break
+        if p >= q:
+            right = mul(power(up, p // q), right)
+            p %= q
+            continue
+        # the k-th up follows (q*k - r - 1) // p rights
+        heads.append(mul(power(right, (q - r - 1) // p), up))
+        tails.append(power(right, n - (q * m - r - 1) // p))
+        p, q, r, n, up, right = q, p, (q - r - 1) % p, m - 1, right, up
+    while heads:
+        word = mul(mul(heads.pop(), word), tails.pop())
+    return word
+
+
+# The sign walk, as a monoid of ints for :func:`_euclid_product`.  The walk
 # reads floors f(l) = floor(2*l*alpha) for l = 1, 2, ...: U raises the current
 # floor by one and R steps to the next l.  An element maps the parity of the
 # current floor on entry to (flip, total, hi, lo): whether the sign flips, the
@@ -319,23 +362,37 @@ def _sign_walk(line: tuple[int, int, int], pairs: int) -> tuple[int, int, int | 
     return -1 if flip else 1, total, hi, lo
 
 
-def sign_formula(alpha: IrrationalSlope, m: int) -> int:
-    """Signature of the ordering permutation from floor parities.
+def _sign_run(alpha: IrrationalSlope, n: int) -> tuple[int, int, int]:
+    """(sign, total, peak): the sign at size n >= 1, and the sum and max
+    |partial sum| of the signs at sizes 1..n.  The sign changes only at even
+    sizes m, by the parity of floor(m*alpha), and holds at m + 1, so within a
+    pair (m, m + 1) the sum moves twice by one sign, its largest |sum| at an
+    end.  The pairs are one :func:`_sign_walk`, O(log n) exact steps; a last
+    even size with no partner reads its floor off the line.  Counts n // 2
+    floors in stats["floors"]."""
+    if n == 1:
+        return 1, 1, 1
+    line = alpha.floor_line(n - n % 2)
+    alpha.stats["floors"] += n // 2
+    sign, total, hi, lo = _sign_walk(line, (n - 1) // 2)
+    total += 1  # size 1
+    peak = 1 if hi is None else max(1, 1 + hi, -1 - lo)
+    if n % 2 == 0:  # the last even size has no partner
+        p, r, q = line
+        if (n * p + r) // q & 1:
+            sign = -sign
+        total += sign
+        peak = max(peak, abs(total))
+    return sign, total, peak
 
-    The product of (-1)^floor(2*l*alpha) over l <= m//2: the sign the walk
-    of :func:`_sign_walk` ends with, O(log m) exact steps along the floor
-    line.  Adding an integer to alpha changes each floor by an even amount,
-    so reduction mod 1 is immaterial here.  Counts the m//2 floors it reads
-    off the line in stats["floors"].
-    """
+
+def sign_formula(alpha: IrrationalSlope, m: int) -> int:
+    """Signature of the ordering permutation: the product of
+    (-1)^floor(2*l*alpha) over l <= m//2, off :func:`_sign_run`.  An integer
+    added to alpha changes each floor by an even amount, so it is immaterial."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m == 1:
-        return 1
-    pairs = m // 2
-    line = alpha.floor_line(2 * pairs)
-    alpha.stats["floors"] += pairs
-    return _sign_walk(line, pairs)[0]
+    return _sign_run(alpha, m)[0]
 
 
 def order(pi: FracPermutation) -> int:

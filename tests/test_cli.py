@@ -389,27 +389,50 @@ def test_bad_range_is_an_invalid_argument(run_cli, command, start, end):
     assert err == f"error[InvalidArgument]: bad range {start}..{end}\n"
 
 
-@pytest.mark.parametrize("n", ["-1", "0"])
-def test_word_rejects_sizes_below_one(run_cli, n):
-    rc, out, err = run_cli(["word", "--alpha", "phi", "--n", n])
-    assert rc == 1
-    assert out == ""
-    assert err == "error[InvalidArgument]: n must be >= 1\n"
+# a valid argv of every data command; --n, --N and --kmax are its sizes
+DATA_ARGV = {
+    "word": ["--alpha", "phi", "--n", "5"],
+    "factors": ["--alpha", "phi", "--n", "5"],
+    "matrix": ["--alpha", "phi", "--n", "5"],
+    "perm": ["--alpha", "phi", "--n", "5"],
+    "table": ["--alpha", "e", "--from", "2", "--to", "5"],
+    "volume": ["--alpha", "phi", "--n", "5"],
+    "integral": ["--to", "3"],
+    "signsum": ["--alpha", "phi", "--N", "5"],
+    "brange": ["--alpha", "phi", "--target", "0", "--kmax", "5"],
+    "congruence": ["--a", "phi", "--b", "e", "--n", "5"],
+}
 
 
+def below_one_cases():
+    for command, argv in DATA_ARGV.items():
+        for option in [o for o in ("--n", "--N", "--kmax") if o in argv]:
+            for value in ("0", "-1"):
+                yield pytest.param(command, option, value, f"{option[2:]} must be >= 1",
+                                   id=f"{command} {option} {value}")
+        for option in ("--budget", "SturmLAB_BUDGET"):
+            yield pytest.param(command, option, "0", "refinement budget must be >= 1",
+                               id=f"{command} {option} 0")
 
-@pytest.mark.parametrize("N", ["-1", "0"])
-def test_signsum_rejects_N_below_one(run_cli, N):
-    rc, out, err = run_cli(["signsum", "--alpha", "phi", "--N", N])
-    assert (rc, out) == (1, "")
-    assert err == "error[InvalidArgument]: N must be >= 1\n"
 
+@pytest.mark.parametrize("command, option, value, message", list(below_one_cases()))
+def test_data_commands_reject_sizes_and_budgets_below_one(
+    run_cli, monkeypatch, tmp_path, command, option, value, message
+):
+    # one check in the CLI, before the command runs: integral, which builds
+    # no slope, rejects a budget too, and --out leaves no file behind
+    argv = [command, *DATA_ARGV[command]]
+    if option in argv:
+        argv[argv.index(option) + 1] = value
+    elif option.startswith("--"):
+        argv += [option, value]
+    else:
+        monkeypatch.setenv(option, value)
+    want = f"error[InvalidArgument]: {message}\n"
+    assert run_cli(argv) == (1, "", want)
+    assert run_cli([*argv, "--out", str(tmp_path / "out.txt")]) == (1, "", want)
+    assert list(tmp_path.iterdir()) == []
 
-@pytest.mark.parametrize("kmax", ["-1", "0"])
-def test_brange_rejects_kmax_below_one(run_cli, kmax):
-    rc, out, err = run_cli(["brange", "--alpha", "phi", "--target", "0", "--kmax", kmax])
-    assert (rc, out) == (1, "")
-    assert err == "error[InvalidArgument]: kmax must be >= 1\n"
 
 @pytest.mark.parametrize(
     "fmt, to",
@@ -673,6 +696,51 @@ def test_selftest_counts_every_check(run_cli):
     assert lines[-1] == f"OK: {passed}/{passed} checks passed"
 
 
+SELFTEST_CHECKS = [
+    "word-prefix-1/e", "factors-1/e-6", "matrix-1/e-6", "matrix-1/e-6-geometric",
+    "descent-52314", "descent-135426", "aux-52314", "matrix-52314",
+    "adjacent-transposition-matrix", "perm-phi-5", "perm-phi-5-order", "perm-phi-5-sign",
+    "perm-phi-5-direct-sort", "matrix-phi-5", "worked-product", "table-e-spots",
+    "signsum-e-10", "signsum-reduction-vs-stream", "bstream-1/e-200", "brange-walk-vs-stream",
+    "brange-progressions-vs-stream", "integral-1", "integral-2", "integral-cells-6",
+    "integral-sweep-1..8", "volume-1/e-6", "volume-runs", "det-sign-1/e-120",
+    "reconstruct-roundtrip", "conjugation-s4",
+]
+
+
+def test_selftest_runs_every_check_in_order(run_cli):
+    rc, out, err = run_cli(["selftest", "--seed", "1"])
+    assert out.splitlines() == [f"PASS {name}" for name in SELFTEST_CHECKS] + ["OK: 30/30 checks passed"]
+
+
+@pytest.mark.parametrize(
+    "reference, value, line",
+    [
+        pytest.param(
+            "WORD_PREFIX_INV_E", [0] * 21,
+            "FAIL word-prefix-1/e (got [0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1], "
+            "want [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0])",
+            id="word-prefix-1/e",
+        ),
+        # a case loop stops at its first mismatch and names it
+        pytest.param(
+            "TABLE_E_SPOTS", {8: (1, 7), 37: (1, 36), 70: (1, 14)},
+            "FAIL table-e-spots (n=37: got (1, 37), want (1, 36))",
+            id="table-e-spots",
+        ),
+    ],
+)
+def test_selftest_reports_a_failed_check(run_cli, monkeypatch, reference, value, line):
+    from sturmlab import selftest
+
+    monkeypatch.setattr(selftest, reference, value)
+    rc, out, err = run_cli(["selftest", "--seed", "1"])
+    lines = out.splitlines()
+    assert rc == 1
+    assert [x for x in lines if not x.startswith("PASS ")] == [line, "FAILED: 29/30 checks passed"]
+    assert len(lines) == 31
+
+
 def imports_oracles(path):
     """Whether an import anywhere in the module at path names an oracles module."""
     names = []
@@ -687,6 +755,59 @@ def imports_oracles(path):
 def test_only_the_selftest_imports_the_oracles(path):
     # the CLI imports the selftest only to run that command
     assert imports_oracles(path) == (path.name == "selftest.py")
+
+
+def private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_crossings(path):
+    """module.name of each underscore name the module at path takes from
+    another sturmlab module: imported by name, or read off an imported module."""
+    tree = ast.parse(path.read_text())
+    modules, out = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:  # from . import x
+                modules.update(a.asname or a.name for a in node.names)
+            else:
+                out.update(f"{node.module}.{a.name}" for a in node.names if private(a.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules and private(node.attr):
+            out.add(f"{node.value.id}.{node.attr}")
+    return out
+
+
+# the private names that still cross a module boundary; entries only go
+PRIVATE_CROSSINGS = {
+    "farey.py": {"permtool._sign_order", "permtool._sos_line", "permtool._sign_run"},
+    "selftest.py": {"permtool._sign_order", "permtool._sos_line", "matrep._runs"},
+}
+
+
+def slope_private_names():
+    """The underscore attributes (self._x) and methods of the slope classes."""
+    names = set()
+    for cls in ast.walk(ast.parse((PACKAGE / "irrational.py").read_text())):
+        if isinstance(cls, ast.ClassDef):
+            for node in ast.walk(cls):
+                if isinstance(node, ast.FunctionDef):
+                    names.add(node.name)
+                elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self":
+                    names.add(node.attr)
+    return set(filter(private, names))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_private_names_stay_in_their_module(path):
+    # no module reads a slope's internals but irrational, and the only
+    # private names taken across modules are those listed
+    slope_private = slope_private_names()
+    assert {"_m", "_convs", "_quotient_iter"} <= slope_private
+    assert private_crossings(path) == PRIVATE_CROSSINGS.get(path.name, set())
+    if path.name != "irrational.py":
+        read = {node.attr for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Attribute)}
+        assert read.isdisjoint(slope_private)
 
 
 def test_importing_the_cli_loads_no_oracle():

@@ -304,6 +304,21 @@ def test_progression_hit_equals_the_streamed_first_hit(expr, k_max):
             assert got == first.get(target), (k_lo, target)
 
 
+@pytest.mark.parametrize("offset", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 1000, 10**9])
+def test_convergent_below_reads_no_quotient_past_the_line(offset, n):
+    # a tail that records each quotient it gives; offset 2 makes a_1 = 1, so
+    # q_0 = q_1 = 1 and only p tells the two convergents apart
+    asked = []
+    alpha = sl.ExplicitCF([0], tail=lambda k: asked.append(k) or 1 + (k + offset) % 3)
+    p, _, q = alpha.floor_line(n)
+    read = len(asked)
+    below = farey._convergent_below(alpha, p, q)
+    assert len(asked) == read
+    m = alpha._m  # the kernel's own index of the line
+    assert below == (alpha.convergent(m - 1)[1:] if m else (1, 0))
+
+
 def test_progression_hit_solves_flat_progressions_from_k_lo():
     # B(k) = 0 at every odd k < 101: from k_lo = 4 the least hit is 5, not 1
     alpha = sl.parse_slope("cf:[0;2,50,...]")

@@ -421,17 +421,6 @@ def test_stats_track_work():
     assert alpha.stats["floors"] > before
 
 
-def test_euclid_product_equals_the_word_written_out():
-    rng = random.Random(7)
-    for _ in range(2000):
-        p, q, n = rng.randint(0, 40), rng.randint(1, 40), rng.randint(0, 60)
-        r = rng.randint(0, q - 1)
-        f = [(p * l + r) // q for l in range(n + 1)]
-        word = "".join("U" * (f[l] - f[l - 1]) + "R" for l in range(1, n + 1))
-        got = sl.irrational._euclid_product(p, q, r, n, "U", "R", str.__add__, "")
-        assert got == word, (p, q, r, n)
-
-
 @pytest.mark.parametrize("expr", ["e", "phi", "cf:[-2;3000,1,...]", "(5-3*sqrt(13))/-4"])
 def test_floor_line_is_the_kernel_up_to_n(expr):
     alpha, kernel = sl.parse_slope(expr), sl.parse_slope(expr)

@@ -258,6 +258,17 @@ def test_sign_constant_on_even_odd_pairs(named_slope):
         assert sl.sign_formula(alpha, 2 * n) == sl.sign_formula(alpha, 2 * n + 1)
 
 
+def test_euclid_product_equals_the_word_written_out():
+    rng = random.Random(7)
+    for _ in range(2000):
+        p, q, n = rng.randint(0, 40), rng.randint(1, 40), rng.randint(0, 60)
+        r = rng.randint(0, q - 1)
+        f = [(p * l + r) // q for l in range(n + 1)]
+        word = "".join("U" * (f[l] - f[l - 1]) + "R" for l in range(1, n + 1))
+        got = sl.permtool._euclid_product(p, q, r, n, "U", "R", str.__add__, "")
+        assert got == word, (p, q, r, n)
+
+
 def test_order_is_cycle_lcm():
     pi = sl.FracPermutation(9, (2, 3, 1, 5, 4, 7, 8, 9, 6))  # (1 2 3)(4 5)(6 7 8 9)
     assert sl.order(pi) == math.lcm(3, 2, 4)

@@ -14,7 +14,7 @@ import pickle
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +23,9 @@ from hypothesis import strategies as st
 import sturmlab as sl
 from sturmlab.cli import _JSON_BATCH, _emit_rows, _write_json, main
 from sturmlab.matrep import mat_mul
-from sturmlab.oracles import b_alpha, first_hits, floor_affine_cf, pi_direct, streamed_sign_sum
+from sturmlab.oracles import (
+    b_alpha, det_exact, farey_cells, first_hits, floor_affine_cf, pi_direct, streamed_sign_sum
+)
 from conftest import walked_cycles
 
 
@@ -209,12 +211,46 @@ cli_slopes = st.one_of(
 )
 
 
+# the values of each data command's rows, from its JSON, in the order of
+# its CSV columns
+JSON_ROWS = {
+    "word": lambda d: [[d["word"]]],
+    "perm": lambda d: [[
+        d["n"], " ".join(map(str, d["perm"])),
+        "".join("(" + " ".join(map(str, c)) + ")" for c in d["cycles"]), d["sign"], d["order"],
+    ]],
+    "table": lambda d: [[r["n"], r["sign"], r["order"]] for r in d["rows"]],
+    "signsum": lambda d: [[d["N"], d["sum"], d["max_abs"]]],
+    "brange": lambda d: [[d["target"], d["kmax"], "none" if d["k"] is None else d["k"]]],
+    "matrix": lambda d: d["rows"],
+    "volume": lambda d: [[d["n"], d["volume"]]],
+    "integral": lambda d: [
+        [r["n"], r["integral"], repr(r["decimal"]), r["cells"], int(r["coverage_ok"])] for r in d["rows"]
+    ],
+    "congruence": lambda d: [
+        [d["n"], int(d["congruent"]), int(d["factors_equal"]), int(d["factors_complement"])]
+    ],
+}
+
+
 def _cli_json(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        rc = main([*argv, "--format", "json"])
-    assert (rc, err.getvalue()) == (0, ""), argv
-    return json.loads(out.getvalue())
+    """argv's JSON document through cli.main, once its CSV and TSV rows are
+    checked to carry the same values."""
+    outputs = {}
+    for fmt in ("json", "csv", "tsv"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main([*argv, "--format", fmt])
+        assert (rc, err.getvalue()) == (0, ""), (argv, fmt)
+        outputs[fmt] = out.getvalue()
+    doc = json.loads(outputs["json"])
+    rows = [[str(x) for x in row] for row in JSON_ROWS[argv[0]](doc)]
+    header = argv[0] != "word"  # a word is one field with no header
+    assert list(csv.reader(io.StringIO(outputs["csv"])))[header:] == rows, argv
+    if argv[0] == "integral":  # TSV is two-column plot data
+        rows = [[n, decimal] for n, _, decimal, *_ in rows]
+    assert [line.split("\t") for line in outputs["tsv"].splitlines()] == rows, argv
+    return doc
 
 
 def _sign_and_order(line):
@@ -222,20 +258,35 @@ def _sign_and_order(line):
     return (-1) ** (len(line) - len(cycles)), math.lcm(*map(len, cycles)), cycles
 
 
+def _congruent(fa, fb):
+    """Whether some bijection of the factors keeps every squared distance."""
+
+    def dist(x, y):
+        return sum((u - v) ** 2 for u, v in zip(x, y))
+
+    return any(
+        all(dist(fa[i], fa[j]) == dist(image[i], image[j]) for i in range(len(fa)) for j in range(i))
+        for image in permutations(fb)
+    )
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(
     text=cli_slopes,
+    other=cli_slopes,
     n=st.integers(1, 300),
+    small=st.integers(1, 40),
     start=st.integers(1, 40),
     width=st.integers(0, 8),
     upto=st.integers(1, 20_000),
     target=st.integers(0, 80),
     k_max=st.integers(1, 5000),
 )
-def test_cli_json_equals_the_oracle_routes(text, n, start, width, upto, target, k_max):
-    # word, perm, table, signsum and brange through cli.main, each against an
-    # oracle route on its own copy of the slope; factors waits for the
-    # factor-set route that does not scan windows
+def test_cli_json_equals_the_oracle_routes(text, other, n, small, start, width, upto, target, k_max):
+    # every data command but factors through cli.main, each against an oracle
+    # route on its own copy of the slope, with its CSV and TSV rows checked
+    # against its JSON; factors waits for the factor-set route that does not
+    # scan windows
     doc = _cli_json(["word", "--alpha", text, "--n", str(n)])
     oracle = sl.parse_slope(text)
     floors = [floor_affine_cf(oracle, k, 0, 1) for k in range(1, n + 2)]
@@ -263,6 +314,29 @@ def test_cli_json_equals_the_oracle_routes(text, n, start, width, upto, target, 
 
     argv = ["brange", "--alpha", text, "--target", str(target), "--kmax", str(k_max)]
     assert _cli_json(argv)["k"] == first_hits(sl.parse_slope(text), k_max).get(target)
+
+    matrix = sl.factor_matrix(pi_direct(sl.parse_slope(text), small))
+    assert _cli_json(["matrix", "--alpha", text, "--n", str(small)])["rows"] == matrix.rows()
+    volume = Fraction(abs(det_exact(matrix)), math.factorial(small))
+    assert Fraction(_cli_json(["volume", "--alpha", text, "--n", str(small)])["volume"]) == volume
+
+    low = start % 12 + 1
+    high = min(12, low + width)
+    doc = _cli_json(["integral", "--from", str(low), "--to", str(high)])
+    want = []
+    for size in range(low, high + 1):
+        cells = farey_cells(size)
+        value = sum((c.right - c.left) * sl.order(sl.perm_on_cell(c, size)) for c in cells)
+        row = {"n": size, "integral": str(value), "decimal": float(value), "cells": len(cells)}
+        want.append({**row, "coverage_ok": True})
+    assert doc["rows"] == want
+
+    size = small % 5 + 1
+    doc = _cli_json(["congruence", "--a", text, "--b", other, "--n", str(size)])
+    fa, fb = (sl.factor_set_from_perm(pi_direct(sl.parse_slope(x), size)).factors for x in (text, other))
+    assert doc["factors_equal"] == (set(fa) == set(fb))
+    assert doc["factors_complement"] == ({tuple(1 - x for x in f) for f in fa} == set(fb))
+    assert doc["congruent"] == _congruent(fa, fb)
 
 
 def json_payloads():
