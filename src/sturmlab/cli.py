@@ -5,13 +5,13 @@ brange, congruence, selftest.  Slopes are given with --alpha (or --a/--b) in
 the expression language of :mod:`sturmlab.irrational`.  Output is exact text;
 permutation orders are emitted as decimal strings, never floats.
 
-COMMANDS is the one table of commands and their options.  main builds only
-the subparser of the command that argv names; help, an empty argv or an
-unknown name get the whole tree, build_parser().  The function that runs is
-the cmd_<name> global at that time.  Each data command computes its answer
-and returns (header, rows, doc); _run adds the budget to the doc's meta and
-_emit_rows renders the result as CSV, TSV or JSON.  selftest writes its own
-PASS/FAIL report.
+COMMANDS is the one table of commands and their options.  main parses a
+known command with its own parser, build_parser(name); help, an empty argv,
+an unknown name and leftover arguments get the whole tree, build_parser().
+The function that runs is the cmd_<name> global at that time.  Each data
+command computes its answer and returns (header, rows, doc); _run adds the
+budget to the doc's meta and _emit_rows renders the result as CSV, TSV or
+JSON.  selftest writes its own PASS/FAIL report.
 
 The refinement budget (the cap on the convergent index a floor may use)
 comes from --budget, else the SturmLAB_BUDGET environment variable, else the
@@ -340,25 +340,21 @@ COMMANDS = {
         {"out": _OUT, "seed": dict(type=int, default=0, help="seed for randomized checks")},
     ),
 }
-# argparse's own metavar for the whole tree, so that usage lines name every
-# command when only one subparser is built
-_METAVAR = "{" + ",".join(COMMANDS) + "}"
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    # the subparser of command alone, else every subparser: one subparser is
-    # enough to parse any argv that starts with its name, and usage errors
-    # still list every command through the metavar
-    p = argparse.ArgumentParser(
-        prog="sturmlab",
-        description="Exact experiments with fractional-part orderings of irrational multiples",
-    )
-    sub = p.add_subparsers(
-        dest="command", required=True, metavar=None if command is None else _METAVAR
-    )
-    for name in COMMANDS if command is None else (command,):
-        helptext, options = COMMANDS[name]
-        sp = sub.add_parser(name, help=helptext)
+    # command's own parser, else the whole tree: each command's parser as a subparser
+    if command is None:
+        p = argparse.ArgumentParser(
+            prog="sturmlab",
+            description="Exact experiments with fractional-part orderings of irrational multiples",
+        )
+        sub = p.add_subparsers(dest="command", required=True)
+        parsers = [(sub.add_parser(name, help=h), opts) for name, (h, opts) in COMMANDS.items()]
+    else:
+        p = argparse.ArgumentParser(prog=f"sturmlab {command}")
+        parsers = [(p, COMMANDS[command][1])]
+    for sp, options in parsers:
         for option, kwargs in options.items():
             sp.add_argument(f"--{option}", **kwargs)
     return p
@@ -366,10 +362,14 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # help, an empty argv and an unknown name get the whole tree: the help
-    # lists every command, and argparse's invalid-choice error lists the
-    # commands it has subparsers for
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    # a known command is parsed by its own parser; help, an empty argv, an unknown
+    # name and leftover arguments get the whole tree, which lists every command
+    args, rest = None, argv
+    if argv and argv[0] in COMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+        args.command = argv[0]
+    if args is None or rest:
+        args = build_parser().parse_args(argv)
     try:
         if args.out:
             return _run_to_file(args)

@@ -434,7 +434,11 @@ def phi(budget: int | None = None) -> QuadraticSurd:
 
 
 def parse_slope(text: str, budget: int | None = None) -> IrrationalSlope:
-    """Parse a slope expression; raises SlopeSyntaxError naming the bad token."""
+    """Parse a slope expression; raises SlopeSyntaxError naming the bad token.
+    Whitespace may separate tokens but not the letters or digits of one."""
+    split = re.search(r"\w+\s+\w+", text)
+    if split:
+        raise SlopeSyntaxError(f"whitespace inside the token {split.group()!r} in slope expression")
     expr = "".join(text.split())
     if not expr:
         raise SlopeSyntaxError("empty slope expression")
@@ -471,11 +475,9 @@ def _parse_cf(head: str, body: str, budget: int | None) -> ExplicitCF:
     repeat = False
     if body.endswith("..."):
         repeat = True
-        body = body[:-3].rstrip(",")
+        body = body[:-3].removesuffix(",")
     quots = []
-    for tok in body.split(","):
-        if tok == "":
-            continue
+    for tok in body.split(",") if body else ():
         if not re.fullmatch(r"-?\d+", tok):
             raise SlopeSyntaxError(f"invalid partial quotient token {tok!r}")
         quots.append(int(tok))

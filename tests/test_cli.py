@@ -646,13 +646,20 @@ def test_help_and_usage_errors_match_the_whole_tree(capsys, monkeypatch, case):
 @pytest.mark.parametrize(
     "argv, built",
     [
-        (["perm", "--alpha", "phi", "--n", "5"], ["perm"]),
-        (["perm", "--alpha", "phi"], ["perm"]),
+        (["perm", "--alpha", "phi", "--n", "5"], []),
+        (["perm", "--alpha", "phi"], []),
         (["nope"], list(sturmlab.cli.COMMANDS)),
         ([], list(sturmlab.cli.COMMANDS)),
+        (["-h"], list(sturmlab.cli.COMMANDS)),
+        (["perm", "-h"], []),
+        (["integral", "--to", "3", "--from=2"], []),
+        (["perm", "--alpha", "phi", "--n", "5", "--seed", "1"], list(sturmlab.cli.COMMANDS)),
+        (["perm", "--alpha", "phi", "--n", "5", "extra"], list(sturmlab.cli.COMMANDS)),
     ],
 )
 def test_a_known_command_builds_only_its_subparser(capsys, monkeypatch, argv, built):
+    # a known command is parsed by its own parser, which adds no subparser;
+    # help, an unknown name and leftover arguments build the whole tree
     names = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -661,6 +668,7 @@ def test_a_known_command_builds_only_its_subparser(capsys, monkeypatch, argv, bu
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    monkeypatch.setattr(sturmlab.cli, "_run", lambda args, out: 0)
     exit_code_and_output(capsys, lambda: sturmlab.cli.main(argv))
     assert names == built
 

@@ -316,6 +316,12 @@ def test_parse_sqrt_and_surd_forms():
         assert reduced.floor_multiple(k) == mp_floor(k * MP_VALUES["phi"])
 
 
+def test_parse_spaced_forms():
+    # whitespace may separate tokens
+    assert sl.parse_slope("( 1 + 1 * sqrt ( 5 ) ) / 2").expression() == "(1+1*sqrt(5))/2"
+    assert sl.parse_slope(" cf:[ 0 ; 1 , 2 , ... ] ").expression() == "cf:[0;1,2,...]"
+
+
 def test_parse_periodic_cf():
     alpha = sl.parse_slope("cf:[2;1,2,...]")  # 1 + sqrt(3)
     x = 1 + mp.sqrt(3)
@@ -325,10 +331,24 @@ def test_parse_periodic_cf():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "3/4", "sqrt(4)", "sqrt(-2)", "cf:[1;2,3]", "cf:[1;0,2,...]", "phi+1", "(1+sqrt(5))/2"],
+    [
+        "", "3/4", "sqrt(4)", "sqrt(-2)", "cf:[1;2,3]", "cf:[1;0,2,...]", "phi+1", "(1+sqrt(5))/2",
+        "cf:[0;1 2,...]", "sqrt(1 3)", "cf:[0;1,,2,...]", "cf:[0;,1,...]",
+    ],
 )
 def test_parse_rejects_bad_slopes(bad):
     with pytest.raises(sl.InvalidSlope):
+        sl.parse_slope(bad)
+
+
+@pytest.mark.parametrize(
+    "bad, token",
+    [("cf:[0;1 2,...]", "'1 2'"), ("sqrt(1 3)", "'1 3'"), ("cf:[0;1,,2,...]", "''"),
+     ("cf:[0;,1,...]", "''")],
+)
+def test_parse_names_a_split_number_or_an_empty_quotient(bad, token):
+    # whitespace may not join the digits of one number, and no quotient is empty
+    with pytest.raises(sl.SlopeSyntaxError, match=f"token {token}"):
         sl.parse_slope(bad)
 
 

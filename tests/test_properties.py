@@ -2,7 +2,9 @@
 through the library and through the CLI's JSON, the matrix representation's
 laws on random permutations, and the CLI's JSON writer against json.dumps and
 its CSV rows against csv.writer on random payloads.  The public result records are checked as immutable values, and
-each public argument check raises its documented error."""
+each public argument check raises its documented error.  Random argv is
+parsed by main as by the whole parser tree, and invalid argv ends in one
+usage or error report."""
 
 import argparse
 import copy
@@ -17,11 +19,12 @@ from fractions import Fraction
 from itertools import islice, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sturmlab as sl
-from sturmlab.cli import _JSON_BATCH, _emit_rows, _write_json, main
+import sturmlab.cli
+from sturmlab.cli import _JSON_BATCH, COMMANDS, _emit_rows, _write_json, build_parser, main
 from sturmlab.matrep import mat_mul
 from sturmlab.oracles import (
     b_alpha, det_exact, farey_cells, first_hits, floor_affine_cf, pi_direct, streamed_sign_sum
@@ -337,6 +340,150 @@ def test_cli_json_equals_the_oracle_routes(text, other, n, small, start, width, 
     assert doc["factors_equal"] == (set(fa) == set(fb))
     assert doc["factors_complement"] == ({tuple(1 - x for x in f) for f in fa} == set(fb))
     assert doc["congruent"] == _congruent(fa, fb)
+
+
+def _option_values(kwargs):
+    """Values of one option, well-formed or not: argparse rejects a bad
+    choice or int, and the command rejects a bad slope or size."""
+    if "choices" in kwargs:
+        return st.sampled_from((*kwargs["choices"], "xml"))
+    if kwargs.get("type") is int:
+        bad = st.sampled_from(("x", "1.5", ""))
+        return st.tuples(st.integers(0, 4), st.integers(-3, 40), bad).map(
+            lambda t: str(t[1]) if t[0] < 4 else t[2]
+        )
+    return st.sampled_from(("phi", "e", "-1", "o.txt", "cf:[0;1,2,...]", "", "-x"))
+
+
+@st.composite
+def argv_forms(draw):
+    """A command's options in random order, some left out and some repeated,
+    each as --opt value, --opt=value or a prefix of --opt; sometimes with
+    --, -h, an unknown option or a stray positional."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    options = COMMANDS[command][1]
+    names = [name for name in options if draw(st.integers(0, 9)) < 9]
+    names = draw(st.permutations(names + draw(st.lists(st.sampled_from(list(options)), max_size=2))))
+    argv = [command]
+    for name in names:
+        flag = "--" + name[: draw(st.integers(1, len(name)))]
+        value = draw(_option_values(options[name]))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    for extra in draw(st.lists(st.sampled_from(("--", "-h", "--nope", "extra")), max_size=1)):
+        argv.insert(draw(st.integers(1, len(argv))), extra)
+    return argv
+
+
+def _parsed(call):
+    """(exit code, stdout, stderr, parsed arguments) of call(record), where
+    record takes the parsed arguments."""
+    seen = []
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = call(lambda args: seen.append(vars(args)) or 0)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), seen
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(argv=argv_forms())
+def test_main_parses_argv_as_the_whole_tree(argv):
+    # main parses a known command with its own parser; the commands only
+    # record what they were given
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+
+        def run(record):
+            mp.setattr(sturmlab.cli, "_run", lambda args, out: record(args))
+            mp.setattr(sturmlab.cli, "_run_to_file", record)
+            return main(list(argv))
+
+        got = _parsed(run)
+        want = _parsed(lambda record: record(build_parser().parse_args(list(argv))))
+    assert got == want
+
+
+# invalid values of each kind of option: slopes that do not parse or are
+# rational, ints that are not ints, and sizes below 1
+BAD_SLOPES = ("", "3/4", "sqrt(4)", "phi+1", "(1+sqrt(5))/2", "cf:[1;2,3]",
+              "cf:[0;1 2,...]", "sqrt(1 3)", "cf:[0;1,,2,...]", "cf:[0;,1,...]")
+NOT_INTS = ("x", "1.5", "", "1e3", "0x10")
+SIZES = ("n", "N", "kmax", "from", "to")  # each must be at least 1
+VALID_ARGV = {
+    "word": {"alpha": "phi", "n": "9"},
+    "factors": {"alpha": "e", "n": "5"},
+    "matrix": {"alpha": "1/e", "n": "6"},
+    "perm": {"alpha": "sqrt(2)", "n": "60"},
+    "table": {"alpha": "e", "from": "2", "to": "20"},
+    "volume": {"alpha": "phi", "n": "8"},
+    "integral": {"from": "2", "to": "6"},
+    "signsum": {"alpha": "cf:[0;2,5,...]", "N": "60"},
+    "brange": {"alpha": "1/e", "target": "3", "kmax": "60"},
+    "congruence": {"a": "phi", "b": "e", "n": "4"},
+    "selftest": {"seed": "3"},
+}
+
+
+@st.composite
+def invalid_argv(draw):
+    """A valid argv with one option broken: a bad slope, a non-integer, a
+    size below 1, a budget of 0, an unknown option or a required option
+    left out."""
+    command = draw(st.sampled_from(list(VALID_ARGV)))
+    given = dict(VALID_ARGV[command])
+    options = COMMANDS[command][1]
+    breaks = ["unknown"]
+    if any(options[name].get("required") for name in given):
+        breaks.append("missing")
+    if "budget" in options:
+        breaks.append("budget")
+    for name in given:
+        kind = "slope" if "type" not in options[name] else "size" if name in SIZES else "int"
+        breaks += [(kind, name)] if kind == "slope" else [(kind, name), ("int", name)]
+    how = draw(st.sampled_from(breaks))
+    extra = []
+    if how == "unknown":
+        foreign = ["--format", "json"] if command == "selftest" else ["--seed", "1"]
+        extra = draw(st.sampled_from((["--nope"], foreign, ["stray"])))
+    elif how == "missing":
+        del given[draw(st.sampled_from([k for k in given if options[k].get("required")]))]
+    elif how == "budget":
+        given["budget"] = draw(st.sampled_from(("0", "-2")))
+    else:
+        kind, name = how
+        pool = {"slope": BAD_SLOPES, "int": NOT_INTS, "size": ("0", "-1", "-60")}[kind]
+        given[name] = draw(st.sampled_from(pool))
+    argv = [command]
+    for name, value in given.items():
+        argv.append(f"--{name}={value}")
+    return argv + extra
+
+
+@settings(
+    max_examples=150, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=invalid_argv(), to_file=st.booleans())
+def test_invalid_argv_ends_in_one_usage_or_error_report(tmp_path, argv, to_file):
+    # only SystemExit may escape main: exit 2 is argparse's usage error and
+    # exit 1 the command's one error line; a failed --out leaves no file
+    if to_file:
+        argv = [*argv, "--out", str(tmp_path / "o.txt")]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert out.getvalue() == "", argv
+    if code == 2:
+        assert err.getvalue().startswith("usage: sturmlab"), argv
+    else:
+        assert code == 1, argv
+        assert re.fullmatch(r"error\[\w+\]: [^\n]+\n", err.getvalue()), (argv, err.getvalue())
+    assert list(tmp_path.iterdir()) == [], argv
 
 
 def json_payloads():
