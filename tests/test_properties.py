@@ -432,33 +432,32 @@ def invalid_argv(draw):
     size below 1, a budget of 0, an unknown option or a required option
     left out."""
     command = draw(st.sampled_from(list(VALID_ARGV)))
-    given = dict(VALID_ARGV[command])
+    values = dict(VALID_ARGV[command])
     options = COMMANDS[command][1]
     breaks = ["unknown"]
-    if any(options[name].get("required") for name in given):
+    if any(options[name].get("required") for name in values):
         breaks.append("missing")
     if "budget" in options:
         breaks.append("budget")
-    for name in given:
-        kind = "slope" if "type" not in options[name] else "size" if name in SIZES else "int"
-        breaks += [(kind, name)] if kind == "slope" else [(kind, name), ("int", name)]
+    for name in values:
+        if "type" not in options[name]:
+            breaks.append(("slope", name))
+        else:
+            breaks += [("int", name), ("size", name)] if name in SIZES else [("int", name)]
     how = draw(st.sampled_from(breaks))
     extra = []
     if how == "unknown":
         foreign = ["--format", "json"] if command == "selftest" else ["--seed", "1"]
         extra = draw(st.sampled_from((["--nope"], foreign, ["stray"])))
     elif how == "missing":
-        del given[draw(st.sampled_from([k for k in given if options[k].get("required")]))]
+        del values[draw(st.sampled_from([k for k in values if options[k].get("required")]))]
     elif how == "budget":
-        given["budget"] = draw(st.sampled_from(("0", "-2")))
+        values["budget"] = draw(st.sampled_from(("0", "-2")))
     else:
         kind, name = how
         pool = {"slope": BAD_SLOPES, "int": NOT_INTS, "size": ("0", "-1", "-60")}[kind]
-        given[name] = draw(st.sampled_from(pool))
-    argv = [command]
-    for name, value in given.items():
-        argv.append(f"--{name}={value}")
-    return argv + extra
+        values[name] = draw(st.sampled_from(pool))
+    return [command, *(f"--{name}={value}" for name, value in values.items()), *extra]
 
 
 @settings(
@@ -471,18 +470,13 @@ def test_invalid_argv_ends_in_one_usage_or_error_report(tmp_path, argv, to_file)
     # exit 1 the command's one error line; a failed --out leaves no file
     if to_file:
         argv = [*argv, "--out", str(tmp_path / "o.txt")]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert out.getvalue() == "", argv
+    code, out, err, _ = _parsed(lambda record: main(argv))
+    assert out == "", argv
     if code == 2:
-        assert err.getvalue().startswith("usage: sturmlab"), argv
+        assert err.startswith("usage: sturmlab"), argv
     else:
         assert code == 1, argv
-        assert re.fullmatch(r"error\[\w+\]: [^\n]+\n", err.getvalue()), (argv, err.getvalue())
+        assert re.fullmatch(r"error\[\w+\]: [^\n]+\n", err), (argv, err)
     assert list(tmp_path.iterdir()) == [], argv
 
 
