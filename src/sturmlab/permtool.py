@@ -8,11 +8,17 @@ once the indices of the least and the greatest fractional part are known,
 each next index follows from the previous one by one integer step.  Both
 extremes lie among the semiconvergent denominators <= n of the slope
 (:func:`extreme_positions`), so an ordering costs O(log n) exact comparisons
-and O(n) integer steps.  The table and the Farey integral read the sign and
-the order off one cycle walk (:func:`_sign_order`), and sweep a range of
+and O(n) integer steps.  The Farey integral reads the sign and the order
+off one cycle walk (:func:`_sign_order`); it and the table sweep a range of
 sizes with one line: the ordering of 1..n-1 is that of 1..n with index n
-deleted (:func:`range_sign_orders`).  The tests check the ordering against
-a comparison sort, ``oracles.pi_direct``.  The sign alone needs no ordering:
+deleted (:func:`range_sign_orders`).  The table walks the line only at the
+top size and at the sizes that are not extremal.  Size n is extremal when
+{n*alpha} is the least or the greatest point, or when {(n+1)*alpha} would
+be (n + 1 = first + last); there the order is a multiplicative order
+(:func:`_extremal_order`), from the factorization of its modulus.  Deleting
+n at rank r flips the sign by (-1)^(n-r), so the sign needs no walk, and a
+walked size cross-checks it.  The tests check the ordering against a
+comparison sort, ``oracles.pi_direct``.  The sign alone needs no ordering:
 at one size and summed over sizes it is one walk along the floor line
 (:func:`_sign_run`), folded in O(log n) products (:func:`_euclid_product`).
 
@@ -188,13 +194,14 @@ def _sign_order(line: list[int], first: int, last: int) -> tuple[int, int]:
     those of :func:`_sos_line` with extremes in 1..n do, and so do those of a
     bijection with its greatest index deleted.  RecurrenceMismatch unless
     line[1] == first, line[-1] == last and every walk meets no visited index
-    before its start: that proves a bijection without a sort.
+    before its start: that proves a bijection without a sort.  The walk stops
+    once its closed cycles hold all n ranks, since such a cover is a bijection.
     """
     n = len(line) - 1
     if n < 1 or line[1] != first or line[-1] != last:
         raise RecurrenceMismatch(f"recurrence for n={n} does not run from {first} to {last}")
     p = line.copy()
-    lengths = []
+    lengths, placed = [], 0
     for start in range(1, n + 1):
         if j := p[start]:
             p[start] = 0
@@ -206,6 +213,9 @@ def _sign_order(line: list[int], first: int, last: int) -> tuple[int, int]:
             if j != start:
                 raise RecurrenceMismatch(f"recurrence produced a non-bijection for n={n}")
             lengths.append(length)
+            placed += length
+            if placed == n:
+                break
     return -1 if (n - len(lengths)) % 2 else 1, math.lcm(*lengths)
 
 
@@ -215,17 +225,31 @@ def range_sign_orders(alpha: IrrationalSlope, start: int, end: int) -> list[tupl
     One Sos line is built, at end, from :func:`extreme_positions`, and
     :func:`_sign_order` checks it there: it must run from first to last, and
     the cycle walk proves it a bijection.  The ordering of 1..n-1 is that of
-    1..n with index n deleted, so each smaller size is walked after deleting
-    its n, with nothing more to check.
+    1..n with index n deleted, so each smaller size deletes its n from the
+    line, with nothing more to check.  Deleting n at rank r moves it to the
+    end first, a cycle of length n - r + 1, so sign(pi_{n-1}) is
+    (-1)^(n-r) * sign(pi_n).  At an extremal size the order is a
+    multiplicative order (:func:`_extremal_order`); only the other sizes are
+    walked, and a walked sign that differs from the recurrence raises
+    RecurrenceMismatch.
     """
     if not 1 <= start <= end:
         raise ValueError(f"bad range {start}..{end}")
     first, last = extreme_positions(alpha, end)
     line = [0, *_sos_line(end, first, last)]
-    out = [(end, *_sign_order(line, first, last))]
+    sign, order = _sign_order(line, first, last)
+    out = [(end, sign, order)]
     for n in range(end, start, -1):
-        line.remove(n)
-        out.append((n - 1, *_sign_order(line, line[1], line[-1])))
+        r = n if line[-1] == n else line.index(n)
+        del line[r]
+        if (n - r) % 2:
+            sign = -sign
+        order = _extremal_order(n - 1, line[1], line[-1])
+        if order is None:
+            walked, order = _sign_order(line, line[1], line[-1])
+            if walked != sign:
+                raise RecurrenceMismatch(f"walked sign {walked} at n={n - 1}, deletion sign {sign}")
+        out.append((n - 1, sign, order))
     out.reverse()
     return out
 
@@ -399,18 +423,48 @@ def order(pi: FracPermutation) -> int:
     return math.lcm(*map(len, pi._cycles))
 
 
+def _factorize(m: int) -> dict[int, int]:
+    """{p: e} with m = prod p**e for m >= 1, by trial division up to the
+    square root of what is left."""
+    out = {}
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out[p] = e
+        p += 1 + (p > 2)
+    if m > 1:  # a prime above every p tried
+        out[m] = 1
+    return out
+
+
 def multiplicative_order(x: int, m: int) -> int:
+    """The least t >= 1 with x**t = 1 mod m, for x prime to m >= 1.
+
+    t divides phi(m) = prod p**(e-1) * (p-1) over m = prod p**e, so t is
+    phi(m) with each prime q of phi(m) divided out while x**(t/q) = 1 mod m:
+    trial division of m and of each p - 1, and O(log m) pows, where stepping
+    through the powers of x takes t products.
+    """
     if m < 1:
         raise ValueError("modulus must be >= 1")
-    if m == 1:
-        return 1
     x %= m
     if math.gcd(x, m) != 1:
         raise ValueError(f"{x} is not a unit mod {m}")
-    t, cur = 1, x
-    while cur != 1:
-        cur = cur * x % m
-        t += 1
+    if x == 1:  # no factoring for the identity ordering (first = 1)
+        return 1
+    t, primes = 1, set()
+    for p, e in _factorize(m).items():
+        t *= p ** (e - 1) * (p - 1)
+        primes.update(_factorize(p - 1))
+        if e > 1:
+            primes.add(p)
+    for q in primes:
+        while t % q == 0 and pow(x, t // q, m) == 1:
+            t //= q
     return t
 
 
@@ -424,6 +478,27 @@ def _min_modulus(n: int, last: int) -> int:
     while (d := math.gcd(m, n)) > 1:
         m //= d
     return (last + 1) // m
+
+
+def _extremal_order(n: int, first: int, last: int) -> int | None:
+    """Order of the ordering at size n with extremes (first, last), from
+    residue arithmetic when n is extremal, else None.
+
+    With M = first + last the Sos recurrence is the first return of
+    x -> x + first on Z/M to 1..n.  When n = M - 1 it skips nothing, so the
+    ordering is multiplication by first mod M; when last = n it is
+    multiplication by first mod n.  When first = n the order is that of
+    -last mod g*n, g from :func:`_min_modulus`; the tests check it against
+    the cycle walk.
+    """
+    if first + last == n + 1:
+        return multiplicative_order(first, n + 1)
+    if last == n:
+        return multiplicative_order(first, n)
+    if first == n:
+        g = _min_modulus(n, last)
+        return multiplicative_order(-last, g * n)
+    return None
 
 
 class OrderPrediction(NamedTuple):
@@ -441,18 +516,21 @@ class OrderPrediction(NamedTuple):
 
 
 def order_prediction(alpha: IrrationalSlope, n: int) -> OrderPrediction | None:
-    """Order prediction when the newest point is extremal, else None."""
+    """Order prediction when the newest point is extremal, else None.
+
+    Deleting an extremal n leaves extremes that sum to n, so size n - 1 is
+    extremal too; both orders come from :func:`_extremal_order`.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
     first, last = extreme_positions(alpha, n)
     if last == n:
-        t = multiplicative_order(first, n)
-        return OrderPrediction("max", t, t)
-    if first == n:
-        prev = multiplicative_order(-last % n, n)
-        g = _min_modulus(n, last)
-        return OrderPrediction("min", prev, multiplicative_order(-last % (g * n), g * n), g)
-    return None
+        case, prev, g = "max", (first, n - first), None
+    elif first == n:
+        case, prev, g = "min", (n - last, last), _min_modulus(n, last)
+    else:
+        return None
+    return OrderPrediction(case, _extremal_order(n - 1, *prev), _extremal_order(n, first, last), g)
 
 
 class Gap(NamedTuple):

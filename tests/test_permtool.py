@@ -209,6 +209,23 @@ def test_range_sign_orders_reject_a_top_line_from_wrong_extremes(monkeypatch, sh
         sl.permtool.range_sign_orders(sl.phi(), 2, 30)
 
 
+def test_range_sign_orders_reject_a_walked_sign_off_the_deletion_recurrence(monkeypatch):
+    # below the top size the sign comes from the deletion ranks; a walked
+    # size whose sign differs from it is a broken line, not a choice of route
+    walk = sl.permtool._sign_order
+    walked = []
+
+    def flipped_below_the_top(line, first, last):
+        sign, order = walk(line, first, last)
+        walked.append(len(line) - 1)
+        return (-sign if len(line) - 1 < 30 else sign), order
+
+    monkeypatch.setattr(sl.permtool, "_sign_order", flipped_below_the_top)
+    with pytest.raises(sl.RecurrenceMismatch):
+        sl.permtool.range_sign_orders(sl.phi(), 2, 30)
+    assert walked[0] == 30 and len(walked) == 2
+
+
 def test_pi_rejects_bad_n():
     with pytest.raises(ValueError):
         pi_direct(sl.phi(), 0)
@@ -281,6 +298,25 @@ def test_multiplicative_order():
     assert sl.permtool.multiplicative_order(1, 1) == 1
     with pytest.raises(ValueError):
         sl.permtool.multiplicative_order(2, 8)
+
+
+def test_multiplicative_order_equals_the_powers_walked():
+    def walked(x, m):  # the least t with x**t = 1 mod m, one power at a time
+        t, power = 1, x % m
+        while power != 1 % m:
+            power = power * x % m
+            t += 1
+        return t
+
+    for m in range(1, 501):
+        for x in range(m):
+            if math.gcd(x, m) == 1:
+                assert sl.permtool.multiplicative_order(x, m) == walked(x, m), (x, m)
+    # a large prime factor, squared primes, and a prime whose p - 1 is a power of 2
+    for m in (65537, 2 * 99991, 3 * 7**2 * 30011, 999983):
+        for x in (2, 3, -1, 12345):
+            if math.gcd(x, m) == 1:
+                assert sl.permtool.multiplicative_order(x, m) == walked(x, m), (x, m)
 
 
 def test_order_prediction_matches_direct(named_slope):

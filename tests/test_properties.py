@@ -560,15 +560,21 @@ def test_reconstruct_roundtrip_on_random_sn(lines):
         periodic_cfs(block_max=10),
         periodic_cfs(),
         surds(),
-        st.sampled_from(["e", "cf:[0;2,5000,...]", "cf:[0;3000,1,...]"]).map(sl.parse_slope),
+        st.sampled_from(
+            ["e", "cf:[0;2,5000,...]", "cf:[0;3000,1,...]", "cf:[0;33023,1,...]", "cf:[0;2,30011,...]"]
+        ).map(sl.parse_slope),
     ),
     ends=st.one_of(
         st.lists(st.integers(1, 200), min_size=2, max_size=2).map(sorted),
         st.integers(1, 200).map(lambda n: [n, n]),
+        st.lists(st.integers(1, 600), min_size=2, max_size=2).map(sorted),
     ),
 )
 def test_swept_table_equals_pi_sos_at_every_size(alpha, ends):
-    # table's one line at --to, losing an index per size, against pi_sos per size
+    # table's one line at --to, losing an index per size, against pi_sos per
+    # size; the large quotients make every size extremal, near 0 with last = n
+    # and near 1/2 with first = n or first + last = n + 1, so that each closed
+    # form of the order stands in for the walk
     start, end = ends
     want = []
     for n in range(start, end + 1):
