@@ -5,11 +5,10 @@ adjacent order-n Farey fractions a/b < c/d.  There the least {k x} is at
 k = b and the greatest at k = d, so integrating its order over (0, 1) is an
 exact sum of Sos orders over the coprime pairs b, d <= n < b + d.  A pair
 is a cell at every size from max(b, d) to b + d - 1, and the ordering at
-size n - 1 is that at size n with index n deleted, so
-:func:`exact_integral` sweeps a range of sizes with one Sos line per pair.
-The sort at a cell's mediant (:func:`perm_on_cell`) checks one cell per
-size; the cells as objects are ``oracles.farey_cells`` and
-``oracles.cell_containing``.
+size n - 1 is that at size n with index n deleted, so :func:`exact_integral`
+sweeps one Sos line per pair in the table's loop, ``permtool._deletion_sweep``.
+The sort at a cell's mediant (:func:`perm_on_cell`) checks one cell per size;
+the cells as objects are ``oracles.farey_cells`` and ``oracles.cell_containing``.
 
 The scans over sizes need no cell.  :func:`sign_sum` reads the sign walk of
 :mod:`permtool` along the floor line.  :func:`b_range_search` finds the
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .irrational import IrrationalSlope, floor_sum
 from .permtool import (
-    FracPermutation, _sign_order, _sign_run, _sos_line, b_stream, extreme_positions, pi_sos
+    FracPermutation, _deletion_sweep, _sign_run, _sos_line, b_stream, extreme_positions, pi_sos
 )
 
 
@@ -79,14 +78,14 @@ def exact_integral(start: int, end: int) -> list[IntegralResult]:
     max(b, d) <= n < b + d, with the least {k x} at k = b and the greatest
     at k = d, and the ordering of 1..n - 1 on it is that of 1..n with index
     n deleted; so its Sos line is built once, at min(b + d - 1, end), and
-    walked (:func:`permtool._sign_order`) at each size down to
-    max(b, d, start), losing its n after each.  The cells are those of the
-    Stern-Brocot descent from 0/1 < 1/1, with the children a/b < (a+c)/(b+d)
-    < c/d of each pair while b + d <= end; a pair with b + d <= start is a
-    cell at no size of the range, so only its children are visited.  The
-    cell right of 1/2, the middle one at each size (the only one at n = 1),
-    is also sorted at its mediant (:func:`perm_on_cell`), an independent
-    check that the extremes lie at the cell's denominators.
+    swept down to max(b, d, start) by :func:`permtool._deletion_sweep`, which
+    walks it at the top and at each size that is not extremal.  The cells
+    are those of the Stern-Brocot descent from 0/1 < 1/1, with the children
+    a/b < (a+c)/(b+d) < c/d of each pair while b + d <= end; a pair with
+    b + d <= start is a cell at no size of the range, so only its children
+    are visited.  The cell right of 1/2, the middle one at each size (the
+    only one at n = 1), is also sorted at its mediant (:func:`perm_on_cell`),
+    an independent check that the extremes lie at the cell's denominators.
 
     A cell has length 1/(b*d), since bc - ad = 1; so at each size the orders
     and the lengths are added as integers over the common denominator of
@@ -103,21 +102,15 @@ def exact_integral(start: int, end: int) -> list[IntegralResult]:
             stack += (a, b, a + c, b + d), (a + c, b + d, c, d)
         if b + d <= start:
             continue
-        n, bottom, den = min(b + d - 1, end), max(b, d, start), b * d
-        middle = 2 * a == b or b + d == 2
-        line = _sos_line(n, b, d)
-        line.insert(0, 0)  # line[i] is the index of rank i
-        while True:
-            if middle:
-                cell = FareyCell(Fraction(a, b), Fraction(c, d), Fraction(a + c, b + d))
-                if perm_on_cell(cell, n).one_line != tuple(line[1:]):
-                    raise RecurrenceMismatch(f"Sos line differs from the sort at {cell.witness}")
-            dens[n - start].append(den)
-            orders[n - start].append(_sign_order(line, b, d)[1])
-            if n == bottom:
-                break
-            line.remove(n)
-            n -= 1
+        middle = None  # the cell right of 1/2 is sorted at its mediant
+        if 2 * a == b or b + d == 2:
+            middle = FareyCell(Fraction(a, b), Fraction(c, d), Fraction(a + c, b + d))
+        line = [0, *_sos_line(min(b + d - 1, end), b, d)]  # line[i] is the index of rank i
+        for n, _, order in _deletion_sweep(line, b, d, max(b, d, start)):
+            if middle and perm_on_cell(middle, n).one_line != tuple(line[1:]):
+                raise RecurrenceMismatch(f"Sos line differs from the sort at {middle.witness}")
+            dens[n - start].append(b * d)
+            orders[n - start].append(order)
     results = []
     for n, ds, os in zip(range(start, end + 1), dens, orders):
         common = math.lcm(*set(ds))

@@ -8,13 +8,13 @@ once the indices of the least and the greatest fractional part are known,
 each next index follows from the previous one by one integer step.  Both
 extremes lie among the semiconvergent denominators <= n of the slope
 (:func:`extreme_positions`), so an ordering costs O(log n) exact comparisons
-and O(n) integer steps.  The Farey integral reads the sign and the order
-off one cycle walk (:func:`_sign_order`); it and the table sweep a range of
-sizes with one line: the ordering of 1..n-1 is that of 1..n with index n
-deleted (:func:`range_sign_orders`).  The table walks the line only at the
-top size and at the sizes that are not extremal.  Size n is extremal when
-{n*alpha} is the least or the greatest point, or when {(n+1)*alpha} would
-be (n + 1 = first + last); there the order is a multiplicative order
+and O(n) integer steps.  The table and the Farey integral sweep a range of
+sizes down one line in one loop (:func:`_deletion_sweep`): the ordering of
+1..n-1 is that of 1..n with index n deleted.  The sweep reads sign and order
+off a cycle walk (:func:`_sign_order`) only at the top size and at the sizes
+that are not extremal.  Size n is extremal when {n*alpha} is the least or
+the greatest point, or when {(n+1)*alpha} would be (n + 1 = first + last);
+there the order is a multiplicative order
 (:func:`_extremal_order`), from the factorization of its modulus.  Deleting
 n at rank r flips the sign by (-1)^(n-r), so the sign needs no walk, and a
 walked size cross-checks it.  The tests check the ordering against a
@@ -219,39 +219,44 @@ def _sign_order(line: list[int], first: int, last: int) -> tuple[int, int]:
     return -1 if (n - len(lengths)) % 2 else 1, math.lcm(*lengths)
 
 
-def range_sign_orders(alpha: IrrationalSlope, start: int, end: int) -> list[tuple[int, int, int]]:
-    """(n, sign, order) of the ordering permutation for n = start..end.
+def _deletion_sweep(line: list[int], first: int, last: int, bottom: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (n, sign, order) for n = len(line) - 1 down to bottom.
 
-    One Sos line is built, at end, from :func:`extreme_positions`, and
-    :func:`_sign_order` checks it there: it must run from first to last, and
-    the cycle walk proves it a bijection.  The ordering of 1..n-1 is that of
-    1..n with index n deleted, so each smaller size deletes its n from the
-    line, with nothing more to check.  Deleting n at rank r moves it to the
-    end first, a cycle of length n - r + 1, so sign(pi_{n-1}) is
-    (-1)^(n-r) * sign(pi_n).  At an extremal size the order is a
-    multiplicative order (:func:`_extremal_order`); only the other sizes are
-    walked, and a walked sign that differs from the recurrence raises
-    RecurrenceMismatch.
+    line is [0, *Sos line] at the top size, from the extremes (first, last),
+    and holds the ordering at n while n is yielded.  The top line is walked
+    (:func:`_sign_order`): it must run from first to last, and the walk
+    proves it a bijection.  Each smaller size deletes its n at rank r, a
+    cycle of length n - r + 1 to the end, so the sign flips by (-1)^(n-r);
+    an extremal size takes its order from :func:`_extremal_order`, and every
+    other size is walked, its sign checked against the deletion.
     """
-    if not 1 <= start <= end:
-        raise ValueError(f"bad range {start}..{end}")
-    first, last = extreme_positions(alpha, end)
-    line = [0, *_sos_line(end, first, last)]
+    n = len(line) - 1
     sign, order = _sign_order(line, first, last)
-    out = [(end, sign, order)]
-    for n in range(end, start, -1):
+    yield n, sign, order
+    while n > bottom:
         r = n if line[-1] == n else line.index(n)
         del line[r]
         if (n - r) % 2:
             sign = -sign
-        order = _extremal_order(n - 1, line[1], line[-1])
-        if order is None:
-            walked, order = _sign_order(line, line[1], line[-1])
+        n -= 1
+        first, last = line[1], line[-1]
+        # integer tests first: most sizes are not extremal
+        if first + last == n + 1 or last == n or first == n:
+            order = _extremal_order(n, first, last)
+        else:
+            walked, order = _sign_order(line, first, last)
             if walked != sign:
-                raise RecurrenceMismatch(f"walked sign {walked} at n={n - 1}, deletion sign {sign}")
-        out.append((n - 1, sign, order))
-    out.reverse()
-    return out
+                raise RecurrenceMismatch(f"walked sign {walked} at n={n}, deletion sign {sign}")
+        yield n, sign, order
+
+
+def range_sign_orders(alpha: IrrationalSlope, start: int, end: int) -> list[tuple[int, int, int]]:
+    """(n, sign, order) of the ordering permutation for n = start..end, off
+    one Sos line built at end and swept down to start (:func:`_deletion_sweep`)."""
+    if not 1 <= start <= end:
+        raise ValueError(f"bad range {start}..{end}")
+    first, last = extreme_positions(alpha, end)
+    return list(_deletion_sweep([0, *_sos_line(end, first, last)], first, last, start))[::-1]
 
 
 def pi_sos(alpha: IrrationalSlope, n: int) -> FracPermutation:

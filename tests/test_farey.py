@@ -154,8 +154,16 @@ def test_denominator_pairs_cover_the_unit_interval(n):
 
 
 def test_integral_checks_the_middle_cell_against_the_sort(monkeypatch):
-    monkeypatch.setattr(sl.farey, "_sos_line", lambda n, b, d: list(range(1, n + 1)))
-    with pytest.raises(sl.RecurrenceMismatch):
+    # ranks 2 and 3 swapped: still a bijection from b to d, so the top walk
+    # passes it, and only the sort at the middle cell's mediant can tell
+    def swapped(n, b, d):
+        line = sos(n, b, d)
+        line[1], line[2] = line[2], line[1]
+        return line
+
+    sos = sl.permtool._sos_line
+    monkeypatch.setattr(sl.farey, "_sos_line", swapped)
+    with pytest.raises(sl.RecurrenceMismatch, match="differs from the sort"):
         sl.exact_integral(5, 5)
 
 
@@ -205,20 +213,23 @@ def test_swept_integral_equals_the_cell_sums(start, end):
 def test_swept_orders_match_the_closed_forms(monkeypatch):
     # on the cell with extremes (b, d) the ordering is multiplication by b
     # modulo b + d with the residues above n skipped: none when b + d = n + 1,
-    # so the order is ord_{n+1}(b); and when d = n it is ord_n(b)
-    walked = []
+    # so the order is ord_{n+1}(b); and when d = n it is ord_n(b).  Every
+    # swept line is walked, and the sweep's sign and order must match the walk
+    swept = []
 
-    def recording_walk(line, first, last):
-        sign, order = walk(line, first, last)
-        walked.append((len(line) - 1, first, last, order))
-        return sign, order
+    def walked_sweep(line, first, last, bottom):
+        for n, sign, order in sweep(line, first, last, bottom):
+            walked = sl.permtool._sign_order(line, first, last)
+            assert (sign, order) == walked, (n, first, last)
+            swept.append((n, first, last, walked[1]))
+            yield n, sign, order
 
-    walk = sl.permtool._sign_order
-    monkeypatch.setattr(sl.farey, "_sign_order", recording_walk)
+    sweep = sl.permtool._deletion_sweep
+    monkeypatch.setattr(sl.farey, "_deletion_sweep", walked_sweep)
     results = sl.exact_integral(1, 59)
-    assert len(walked) == sum(r.cells for r in results)
+    assert len(swept) == sum(r.cells for r in results)
     full = last_is_n = 0
-    for n, b, d, order in walked:
+    for n, b, d, order in swept:
         if b + d == n + 1:
             full += 1
             assert order == sl.permtool.multiplicative_order(b, n + 1), (n, b, d)

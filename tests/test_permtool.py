@@ -209,21 +209,28 @@ def test_range_sign_orders_reject_a_top_line_from_wrong_extremes(monkeypatch, sh
         sl.permtool.range_sign_orders(sl.phi(), 2, 30)
 
 
-def test_range_sign_orders_reject_a_walked_sign_off_the_deletion_recurrence(monkeypatch):
+@pytest.mark.parametrize(
+    "sweep",
+    [lambda: sl.permtool.range_sign_orders(sl.phi(), 2, 30), lambda: sl.exact_integral(1, 30)],
+    ids=["table", "integral"],
+)
+def test_range_sign_orders_reject_a_walked_sign_off_the_deletion_recurrence(monkeypatch, sweep):
     # below the top size the sign comes from the deletion ranks; a walked
-    # size whose sign differs from it is a broken line, not a choice of route
+    # size whose sign differs from it is a broken line, not a choice of route.
+    # Both commands share the sweep: a line swept from 30 raises at its first
+    # walk below the top, and one swept from below 30 is flipped throughout
     walk = sl.permtool._sign_order
     walked = []
 
-    def flipped_below_the_top(line, first, last):
+    def flipped_below_30(line, first, last):
         sign, order = walk(line, first, last)
         walked.append(len(line) - 1)
         return (-sign if len(line) - 1 < 30 else sign), order
 
-    monkeypatch.setattr(sl.permtool, "_sign_order", flipped_below_the_top)
-    with pytest.raises(sl.RecurrenceMismatch):
-        sl.permtool.range_sign_orders(sl.phi(), 2, 30)
-    assert walked[0] == 30 and len(walked) == 2
+    monkeypatch.setattr(sl.permtool, "_sign_order", flipped_below_30)
+    with pytest.raises(sl.RecurrenceMismatch, match="walked sign"):
+        sweep()
+    assert walked[-2] == 30 > walked[-1]
 
 
 def test_pi_rejects_bad_n():
