@@ -68,11 +68,9 @@ from .permtool import (
 )
 from .sturmian import (
     FactorSet,
-    WordSpec,
     characteristic_prefix,
     factor_set,
     factor_set_from_perm,
-    word_factor_set,
     word_letter,
 )
 

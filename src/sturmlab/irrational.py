@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -148,6 +149,17 @@ def _cf_quotients(
         k += 1
 
 
+def _quotient(a: object, idx: int) -> int:
+    """Partial quotient a_idx as an int, if it passes operator.index and, after a0, is >= 1."""
+    try:
+        a = operator.index(a)
+    except TypeError:
+        raise InvalidSlope(f"partial quotient a{idx} = {a!r} is not an integer") from None
+    if idx > 0 and a < 1:
+        raise InvalidSlope(f"partial quotients must be >= 1 after a0: a{idx} = {a}")
+    return a
+
+
 class IrrationalSlope:
     """Base class: exact floors and comparisons."""
 
@@ -176,17 +188,13 @@ class IrrationalSlope:
             raise ValueError("partial quotient index must be >= 0")
         if self._qiter is None:
             self._qiter = self._quotient_iter()
-        while len(self._quots) <= k:
+        for idx in range(len(self._quots), k + 1):
             a = next(self._qiter, None)
             if a is None:
                 raise CoefficientsExhausted(
                     f"partial-quotient source ended before index {k}"
                 )
-            if len(self._quots) > 0 and a < 1:
-                raise InvalidSlope(
-                    f"partial quotient a{len(self._quots)} = {a} must be >= 1"
-                )
-            self._quots.append(a)
+            self._quots.append(_quotient(a, idx))
         return self._quots[k]
 
     def convergent(self, k: int) -> Convergent:
@@ -383,20 +391,15 @@ class ExplicitCF(IrrationalSlope):
         budget: int | None = None,
     ):
         super().__init__(budget)
-        initial = tuple(int(a) for a in initial)
+        initial = tuple(_quotient(a, i) for i, a in enumerate(initial))
         if not initial:
             raise InvalidSlope("need at least the leading partial quotient")
-        for idx, a in enumerate(initial[1:], start=1):
-            if a < 1:
-                raise InvalidSlope(f"partial quotient a{idx} = {a} must be >= 1")
         if repeat is not None and tail is not None:
             raise InvalidSlope("give either a repeat block or a tail rule, not both")
         if repeat is not None:
-            repeat = tuple(int(a) for a in repeat)
+            repeat = tuple(_quotient(a, len(initial) + i) for i, a in enumerate(repeat))
             if not repeat:
                 raise InvalidSlope("repeat block must be non-empty")
-            if any(a < 1 for a in repeat):
-                raise InvalidSlope("repeat block quotients must be >= 1")
         elif tail is None:
             raise InvalidSlope(
                 "finite continued fraction denotes a rational; "

@@ -16,6 +16,7 @@ from .farey import FareyCell
 from .irrational import IrrationalSlope
 from .matrep import FactorMatrix
 from .permtool import FracPermutation, b_stream
+from .sturmian import FactorSet
 
 
 def pi_direct(alpha: IrrationalSlope, n: int) -> FracPermutation:
@@ -164,6 +165,31 @@ def floor_affine_cf(alpha: IrrationalSlope, u: int, v: int, w: int) -> int:
     raise RefinementBudgetExceeded(
         f"floor of ({u}*alpha + {v})/{w} unresolved after {alpha.budget} refinements"
     )
+
+
+def mechanical_letters(
+    alpha: IrrationalSlope, intercept: Fraction, count: int, ceiling: bool = False
+) -> list[int]:
+    """First count letters of the word of slope {alpha} and a rational intercept:
+    letter i is r((i+1)*{alpha} + intercept) - r(i*{alpha} + intercept), with r the
+    floor, or the ceiling if ceiling is set, each term by :func:`floor_affine_cf`."""
+    p, q = Fraction(intercept).as_integer_ratio()
+    s = -1 if ceiling else 1  # ceil(x) = -floor(-x)
+    f1 = floor_affine_cf(alpha, 1, 0, 1)
+    # k*{a} + p/q = (k*q*a + p - k*q*floor(a))/q
+    terms = [
+        s * floor_affine_cf(alpha, s * k * q, s * (p - k * q * f1), q) for k in range(count + 1)
+    ]
+    return [b - a for a, b in zip(terms, terms[1:])]
+
+
+def mechanical_factors(
+    alpha: IrrationalSlope, intercept: Fraction, n: int, length: int, ceiling: bool = False
+) -> FactorSet:
+    """The distinct length-n windows of a length-letter prefix, anti-lexicographic; no cap."""
+    word = mechanical_letters(alpha, intercept, length, ceiling)
+    windows = {tuple(word[i:i + n]) for i in range(length - n + 1)}
+    return FactorSet(n, tuple(sorted(windows, reverse=True)))
 
 
 def streamed_signs(alpha: IrrationalSlope) -> Iterator[tuple[int, int, int]]:

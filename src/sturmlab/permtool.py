@@ -270,8 +270,9 @@ def pi_sos(alpha: IrrationalSlope, n: int) -> FracPermutation:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    line = tuple(_sos_line(n, *extreme_positions(alpha, n)))
     try:
-        return FracPermutation(n, tuple(_sos_line(n, *extreme_positions(alpha, n))))
+        return FracPermutation(n, line)
     except ValueError:
         raise RecurrenceMismatch(f"recurrence produced a non-bijection for n={n}") from None
 

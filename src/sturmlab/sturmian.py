@@ -1,14 +1,14 @@
 """Sturmian words and their length-n factor sets.
 
-Letters are first differences of floors (or ceilings) of i*alpha + beta; the
-slope enters only through its fractional part, so slopes outside (0, 1) are
-reduced mod 1.  A word of irrational slope has exactly n+1 distinct length-n
-factors, listed here in anti-lexicographic order: descending as 0/1 tuples,
-first letter most significant.
+Letter i of the characteristic word of alpha is floor((i+2)*alpha) -
+floor((i+1)*alpha) - floor(alpha), so slopes outside (0, 1) act through their
+fractional part.  A word of irrational slope has exactly n+1 distinct length-n
+factors, the same for every intercept (``oracles.mechanical_factors`` reads the
+other intercepts for the tests), listed here in anti-lexicographic order:
+descending as 0/1 tuples, first letter most significant.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
@@ -23,53 +23,11 @@ SCAN_CAP_FACTOR = 50
 Factor = tuple[int, ...]
 
 
-class _WordFields(NamedTuple):
-    slope: IrrationalSlope
-    intercept: Fraction | None
-    ceiling: bool
-
-
-class WordSpec(_WordFields):
-    """Word description: slope, rational intercept and rounding choice.
-
-    intercept None means "use the slope itself", giving the characteristic
-    word of the slope; any other intercept is stored as a Fraction.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, slope: IrrationalSlope, intercept: Fraction | None = None, ceiling: bool = False
-    ):
-        if intercept is not None:
-            intercept = Fraction(intercept)
-        return super().__new__(cls, slope, intercept, ceiling)
-
-
-def _term(spec: WordSpec, k: int) -> int:
-    """floor(k*{slope} + intercept), or its ceiling for spec.ceiling, exactly.
-
-    ceil(x) = -floor(-x).  With no intercept the term is floor((k+1)*{slope})
-    for both roundings: the ceiling of an irrational is its floor plus one,
-    which no letter sees.
-    """
-    alpha = spec.slope
-    if spec.intercept is None:
-        return alpha.floor_reduced(k + 1)
-    p, q = spec.intercept.numerator, spec.intercept.denominator
-    s = -1 if spec.ceiling else 1
-    # s*(k*{a} + p/q) = (u*a + v)/q with u = s*k*q and v = s*p - u*floor(a); its
-    # floor is (floor(u*a) + v) // q, and floor(u*a) = -floor(-u*a) - 1 for u < 0
-    u = s * k * q
-    fu = alpha.floor_multiple(u) if u > 0 else -alpha.floor_multiple(-u) - 1 if u else 0
-    return s * ((fu + s * p - u * alpha.floor_multiple(1)) // q)
-
-
-def word_letter(spec: WordSpec, i: int) -> int:
-    """Letter i (i >= 0) of the word; always 0 or 1."""
+def word_letter(alpha: IrrationalSlope, i: int) -> int:
+    """Letter i (i >= 0) of the characteristic word of alpha; always 0 or 1."""
     if i < 0:
         raise ValueError("letter index must be >= 0")
-    return _term(spec, i + 1) - _term(spec, i)
+    return alpha.floor_reduced(i + 2) - alpha.floor_reduced(i + 1)
 
 
 def characteristic_prefix(alpha: IrrationalSlope, length: int) -> list[int]:
@@ -96,8 +54,9 @@ class FactorSet(NamedTuple):
     factors: tuple[Factor, ...]
 
 
-def word_factor_set(spec: WordSpec, n: int) -> FactorSet:
-    """Distinct length-n factors of a word, by sliding-window collection.
+def factor_set(alpha: IrrationalSlope, n: int) -> FactorSet:
+    """Distinct length-n factors of the characteristic word of alpha, by
+    sliding-window collection.
 
     The scan raises SafetyCapExceeded after SCAN_CAP_FACTOR*n^2 positions
     without all n+1 factors.  A large partial quotient spaces the rare
@@ -110,7 +69,7 @@ def word_factor_set(spec: WordSpec, n: int) -> FactorSet:
     seen: set[Factor] = set()
     window: list[int] = []
     for i in range(cap):
-        window.append(word_letter(spec, i))
+        window.append(word_letter(alpha, i))
         if len(window) > n:
             window.pop(0)
         if len(window) == n:
@@ -120,11 +79,6 @@ def word_factor_set(spec: WordSpec, n: int) -> FactorSet:
     raise SafetyCapExceeded(
         f"found only {len(seen)} of {n + 1} factors within {cap} positions"
     )
-
-
-def factor_set(alpha: IrrationalSlope, n: int) -> FactorSet:
-    """Distinct length-n factors of the characteristic word of alpha."""
-    return word_factor_set(WordSpec(alpha), n)
 
 
 def factor_set_from_perm(pi: FracPermutation) -> FactorSet:

@@ -826,3 +826,11 @@ def test_importing_the_cli_loads_no_oracle():
     )
     run = subprocess.run([sys.executable, "-c", code], cwd=PACKAGE.parent, capture_output=True, text=True)
     assert run.returncode == 0, f"importing the CLI loaded {run.stderr}"
+
+
+def test_sturmlab_exports_no_oracle():
+    # the oracles are the tests' reference routes, not library API
+    from sturmlab import oracles
+    own = {name for name, obj in vars(oracles).items() if getattr(obj, "__module__", None) == oracles.__name__}
+    assert {"pi_direct", "mechanical_factors"} <= own
+    assert sorted(own & vars(sturmlab).keys()) == []

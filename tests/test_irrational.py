@@ -95,9 +95,9 @@ def test_refinement_stream_shrinks_and_nests(named_slope):
 
 
 def _affine_floor(alpha, u, v, w):
-    """floor((u*alpha + v)/w) from floor_multiple alone, as sturmian._term
-    takes it: floor((x + v)/w) = (floor(x) + v) // w for integers v and
-    w >= 1, and floor(u*alpha) = -floor(-u*alpha) - 1 for u < 0."""
+    """floor((u*alpha + v)/w) from floor_multiple alone:
+    floor((x + v)/w) = (floor(x) + v) // w for integers v and w >= 1, and
+    floor(u*alpha) = -floor(-u*alpha) - 1 for u < 0."""
     if w < 0:
         u, v, w = -u, -v, -w
     if u > 0:

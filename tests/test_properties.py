@@ -638,7 +638,6 @@ def test_cycles_equal_a_reference_walk(lines):
     assert sl.FracPermutation(len(line), line).cycles() == walked_cycles(line)
 
 
-PHI = sl.phi()
 RECORDS = [
     (sl.FareyCell, dict(left=Fraction(1, 3), right=Fraction(1, 2), witness=Fraction(2, 5))),
     (sl.IntegralResult, dict(n=2, value=Fraction(3, 2), cells=2, coverage=Fraction(1))),
@@ -650,7 +649,6 @@ RECORDS = [
     (sl.Gap, dict(coeff=2, offset=-1)),
     (sl.FactorSet, dict(n=1, factors=((1,), (0,)))),
     (sl.FracPermutation, dict(n=3, one_line=(2, 3, 1))),
-    (sl.WordSpec, dict(slope=PHI, intercept=Fraction(1, 2), ceiling=True)),
 ]
 
 
@@ -661,8 +659,7 @@ def test_records_are_immutable_values(cls, fields):
     record, twin = cls(**fields), cls(*fields.values())
     assert record == twin and hash(record) == hash(twin)
     assert copy.copy(record) == record
-    if cls is not sl.WordSpec:  # a slope compares by identity, so only its copy is equal
-        assert pickle.loads(pickle.dumps(record)) == record
+    assert pickle.loads(pickle.dumps(record)) == record
     assert repr(record) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
     for name in fields:
         with pytest.raises(AttributeError):
@@ -671,14 +668,7 @@ def test_records_are_immutable_values(cls, fields):
             delattr(record, name)
 
 
-def test_word_spec_intercept_is_a_fraction():
-    spec = sl.WordSpec(PHI, intercept=1)
-    assert spec.intercept == Fraction(1) and type(spec.intercept) is Fraction
-    assert spec == sl.WordSpec(PHI, Fraction(1)) and hash(spec) == hash(sl.WordSpec(PHI, Fraction(1)))
-
-
 E = sl.parse_slope("e")
-SPEC = sl.WordSpec(E)
 BAD_ARGUMENTS = [
     ("sign_sum", lambda: sl.sign_sum(E, 0), ValueError, "upto must be >= 1"),
     ("b_range_search", lambda: sl.b_range_search(E, 5, 0), ValueError, "k_max must be >= 1"),
@@ -686,8 +676,8 @@ BAD_ARGUMENTS = [
     ("multiplicative_order", lambda: sl.permtool.multiplicative_order(3, 0), ValueError,
      "modulus must be >= 1"),
     ("order_prediction", lambda: sl.order_prediction(E, 1), ValueError, "n must be >= 2"),
-    ("word_letter", lambda: sl.word_letter(SPEC, -1), ValueError, "letter index must be >= 0"),
-    ("word_factor_set", lambda: sl.word_factor_set(SPEC, 0), ValueError, "n must be >= 1"),
+    ("word_letter", lambda: sl.word_letter(E, -1), ValueError, "letter index must be >= 0"),
+    ("factor_set", lambda: sl.factor_set(E, 0), ValueError, "n must be >= 1"),
     ("partial_quotient", lambda: E.partial_quotient(-1), ValueError, "index must be >= 0"),
     ("convergent", lambda: E.convergent(-1), ValueError, "index must be >= 0"),
     ("floor_multiple", lambda: E.floor_multiple(0), ValueError, "k must be >= 1"),
@@ -700,6 +690,19 @@ BAD_ARGUMENTS = [
     ("cf_empty_repeat", lambda: sl.ExplicitCF([0], repeat=[]), sl.InvalidSlope, "non-empty"),
     ("cf_repeat_below_one", lambda: sl.ExplicitCF([0], repeat=[1, 0]), sl.InvalidSlope,
      "quotients must be >= 1"),
+    ("cf_float_quotients", lambda: sl.ExplicitCF([0.7, 2.9], repeat=[1.2]), sl.InvalidSlope,
+     "a0 = 0.7 is not an integer"),
+    ("cf_float_repeat", lambda: sl.ExplicitCF([0, 2], repeat=[1.2]), sl.InvalidSlope,
+     "a2 = 1.2 is not an integer"),
+    ("cf_fraction_quotient", lambda: sl.ExplicitCF([0, Fraction(5, 2)], repeat=[1]),
+     sl.InvalidSlope, "a1 = Fraction(5, 2) is not an integer"),
+    ("cf_str_quotient", lambda: sl.ExplicitCF([0, "3"], repeat=[1]), sl.InvalidSlope,
+     "a1 = '3' is not an integer"),
+    # a tail rule is read lazily, so its first fraction raises where it is pulled
+    ("cf_tail_fraction", lambda: sl.ExplicitCF([0], tail=lambda k: 1.5).convergent(3),
+     sl.InvalidSlope, "a1 = 1.5 is not an integer"),
+    ("cf_tail_fraction_pi_sos", lambda: sl.pi_sos(sl.ExplicitCF([0], tail=lambda k: 1.5), 6),
+     sl.InvalidSlope, "a1 = 1.5 is not an integer"),
     ("cf_malformed", lambda: sl.parse_slope("cf:[0;1"), sl.SlopeSyntaxError, "malformed"),
     ("cf_bad_token", lambda: sl.parse_slope("cf:[0;1,x,...]"), sl.SlopeSyntaxError, "'x'"),
     ("cf_no_quotients", lambda: sl.parse_slope("cf:[0;...]"), sl.SlopeSyntaxError,
